@@ -1,6 +1,8 @@
 package avd_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	avd "github.com/taskpar/avd"
@@ -194,4 +196,55 @@ func TestWindowElisionZeroAllocs(t *testing.T) {
 			t.Error("the window-elision cache never engaged on the array handle")
 		}
 	})
+}
+
+// TestTaskSpawnAllocBudget pins what one short task costs in heap bytes
+// on the default checker: 4096 tasks spawned under one Finish, each
+// loading and storing its own variable, in a plain and a locked
+// variant. Most of the cost is the task's local space, whose entry and
+// lockset chunks start small and double, so a task that touches one
+// location does not pay for sixty-four.
+func TestTaskSpawnAllocBudget(t *testing.T) {
+	const tasks = 4096
+	const budget = 2560 // bytes per task
+	for _, locked := range []bool{false, true} {
+		name := "plain"
+		if locked {
+			name = "locked"
+		}
+		t.Run(name, func(t *testing.T) {
+			s := avd.NewSession(avd.Options{Workers: 1})
+			defer s.Close()
+			mu := s.NewMutex("L")
+			vars := make([]*avd.IntVar, tasks)
+			for i := range vars {
+				vars[i] = s.NewIntVar(fmt.Sprintf("X%d", i))
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			s.Run(func(tk *avd.Task) {
+				tk.Finish(func(tk *avd.Task) {
+					for _, x := range vars {
+						tk.Spawn(func(tk *avd.Task) {
+							if locked {
+								mu.Lock(tk)
+								defer mu.Unlock(tk)
+							}
+							x.Store(tk, x.Load(tk)+1)
+						})
+					}
+				})
+			})
+			runtime.ReadMemStats(&after)
+			if rep := s.Report(); rep.ViolationCount != 0 {
+				t.Fatalf("%d violations on disjoint variables", rep.ViolationCount)
+			}
+			perTask := (after.TotalAlloc - before.TotalAlloc) / tasks
+			t.Logf("%d B allocated per task", perTask)
+			if perTask > budget {
+				t.Errorf("%d B allocated per task, budget %d", perTask, budget)
+			}
+		})
+	}
 }

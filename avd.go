@@ -625,9 +625,9 @@ func NewReplayer(opts Options) (*Replayer, error) {
 		rep := checker.NewReporter(opts.ReporterLimit)
 		rep.SetMaxViolations(opts.MaxViolations)
 		r.chk = checker.New(checker.Options{
-			Algorithm:           alg,
-			Query:               r.q,
-			Reporter:            rep,
+			Algorithm:            alg,
+			Query:                r.q,
+			Reporter:             rep,
 			StrictLockChecks:     opts.StrictLockChecks,
 			DisableAccessFilter:  opts.DisableAccessFilter,
 			Batch:                opts.Batch && alg == checker.AlgOptimized,

@@ -69,7 +69,7 @@ type Gate struct {
 	Plane  *Plane
 	Budget *Budget
 
-	drops [numSites]atomic.Int64
+	drops  [numSites]atomic.Int64
 	onDrop func(Site, int64)
 }
 

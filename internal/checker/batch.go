@@ -147,9 +147,9 @@ type batchSpace struct {
 	// redundancy words or the elision cache answered. Step flushes (and
 	// reset) clear all three — retirement never outlives the step that
 	// earned it.
-	retired              bool
-	probeTotal           int64
-	probeSaved           int64
+	retired    bool
+	probeTotal int64
+	probeSaved int64
 	// nDirect counts retired-mode accesses dispatched around the buffer,
 	// folded into the batched-access counter at the next flush.
 	nDirect int64

@@ -344,10 +344,22 @@ type localSpace struct {
 	inter     []uint64
 }
 
+// Bump-chunk sizes of the local space. Most tasks touch a handful of
+// locations under a handful of locks, so the first chunk is small and
+// each replacement doubles, up to the cap. A full chunk is replaced,
+// never grown in place or moved, so every entry and lockset copy
+// already handed out stays valid.
+const (
+	entryChunkMin = 4
+	entryChunkMax = 64
+	lockChunkMin  = 8
+	lockChunkMax  = 128
+)
+
 // alloc bump-allocates a local entry from the space's current chunk.
 func (ls *localSpace) alloc() *localEntry {
 	if ls.used == len(ls.chunk) {
-		ls.chunk = make([]localEntry, 64)
+		ls.chunk = make([]localEntry, min(max(2*len(ls.chunk), entryChunkMin), entryChunkMax))
 		ls.used = 0
 	}
 	e := &ls.chunk[ls.used]
@@ -363,7 +375,7 @@ func (ls *localSpace) copyLockSlice(a []uint64) []uint64 {
 		return nil
 	}
 	if ls.lockUsed+len(a) > len(ls.lockChunk) {
-		n := 128
+		n := min(max(2*len(ls.lockChunk), lockChunkMin), lockChunkMax)
 		if len(a) > n {
 			n = len(a)
 		}

@@ -269,13 +269,13 @@ func violationRecord(v avd.Violation) ViolationRecord {
 // violations with provenance (capped at maxTable1Violations records;
 // ViolationCount is the uncapped total).
 type Table1Row struct {
-	Kernel         string            `json:"kernel"`
-	N              int               `json:"n"`
-	Locations      int64             `json:"locations"`
-	DPSTNodes      int               `json:"dpst_nodes"`
-	LCAQueries     int64             `json:"lca_queries"`
-	UniquePercent  float64           `json:"unique_percent"`
-	ViolationCount int64             `json:"violation_count"`
+	Kernel         string  `json:"kernel"`
+	N              int     `json:"n"`
+	Locations      int64   `json:"locations"`
+	DPSTNodes      int     `json:"dpst_nodes"`
+	LCAQueries     int64   `json:"lca_queries"`
+	UniquePercent  float64 `json:"unique_percent"`
+	ViolationCount int64   `json:"violation_count"`
 	// BatchFlushes/BatchedAccesses describe the access coalescer when
 	// the measurement ran batched (zero and omitted otherwise), and
 	// WindowElisions counts the accesses its handle-layer front end

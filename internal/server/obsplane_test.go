@@ -483,6 +483,11 @@ func TestWebhookDelivery(t *testing.T) {
 	if p == nil || p.RunID != v.ID || p.Status != server.StatusDone || p.Finding.Code != server.CodeViolation {
 		t.Fatalf("webhook payload malformed: %+v", p)
 	}
+	// The sender counts a delivery only after it has read the receiver's
+	// response, so the last increment can trail the last payload.
+	for svc.Metrics().WebhookDelivered < final.Violations && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if m := svc.Metrics(); m.WebhookDelivered != final.Violations || m.WebhookFailed != 0 {
 		t.Fatalf("webhook counters: %+v", m)
 	}
