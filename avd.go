@@ -219,29 +219,21 @@ type Options struct {
 	Layout Layout
 	// MHP picks the may-happen-in-parallel mechanism; default MHPLabels.
 	MHP MHPMode
-	// DisableLCACache turns off memoization of LCA queries. It is only
-	// meaningful for the walk-based modes: when MHP is left at the
-	// default it selects MHPWalk, preserving the historic behaviour of
-	// the Figure 14 no-cache configurations.
-	DisableLCACache bool
 	// StrictLockChecks enables the extension that reports pairs inside
 	// one critical section torn by unsynchronized parallel accesses
 	// (see DESIGN.md); off reproduces the paper exactly.
 	StrictLockChecks bool
-	// DisableAccessFilter turns off the optimized checker's
-	// redundant-access filter — the per-task epoch filter and
-	// direct-mapped location cache that skip provably redundant repeat
-	// accesses before the full dispatch (see DESIGN.md, "Redundant-
-	// access filtering"). On by default; disable for ablation
-	// measurements and differential testing. The detected violation
-	// locations are identical either way. Under Batch the flag disables
-	// the batch deduplicator instead (every buffered access dispatches).
+	// DisableAccessFilter turns off the batch deduplicator under Batch
+	// (DESIGN.md §4.2): every buffered access dispatches, and window
+	// elision is off too, for ablation measurements and differential
+	// testing. Reported violations are identical either way.
+	// Meaningless without Batch.
 	DisableAccessFilter bool
 	// Batch enables step-granular batched dispatch (DESIGN.md §4.2): the
 	// optimized checker coalesces each task's accesses in a fixed-size
 	// per-task buffer, deduplicates provable repeats, and drains the
-	// batch at step and lock boundaries with the step node, lockset, and
-	// filter state read once per batch instead of once per access.
+	// batch at step and lock boundaries with the step node and lockset
+	// read once per batch instead of once per access.
 	// Reported violations are identical to unbatched operation; on a
 	// serial schedule the reports are byte-identical. Only meaningful
 	// with CheckerOptimized; other checkers ignore it.
@@ -335,9 +327,7 @@ func (o Options) gate(plane *chaos.Plane) *chaos.Gate {
 	return &chaos.Gate{Plane: plane, Budget: budget}
 }
 
-// queryMode maps the public MHP knobs onto the dpst query mode. An
-// explicit MHP selection wins; otherwise DisableLCACache downgrades the
-// default to the uncached walk as it always has.
+// queryMode maps the public MHP knob onto the dpst query mode.
 func (o Options) queryMode() dpst.QueryMode {
 	switch o.MHP {
 	case MHPCachedWalk:
@@ -345,9 +335,6 @@ func (o Options) queryMode() dpst.QueryMode {
 	case MHPWalk:
 		return dpst.ModeWalk
 	default:
-		if o.DisableLCACache {
-			return dpst.ModeWalk
-		}
 		return dpst.ModeLabels
 	}
 }
@@ -797,12 +784,11 @@ type Stats struct {
 	LCAQueries int64
 	// UniqueLCAs is the number of distinct LCA queries (cache misses).
 	UniqueLCAs int64
-	// FilterHits counts accesses skipped by the optimized checker's
-	// redundant-access filter; FilterMisses counts accesses that fell
-	// through to the full dispatch. Both are zero when the filter is
-	// disabled (Options.DisableAccessFilter) or for other checkers.
-	// Under Options.Batch the pair counts the batch deduplicator's skips
-	// and full dispatches instead.
+	// FilterHits counts accesses the batch deduplicator skipped, plus
+	// batched accesses the offer-once fast path answered; FilterMisses
+	// counts batched accesses that ran the full dispatch. Both read zero
+	// without Options.Batch, with Options.DisableAccessFilter, and for
+	// other checkers.
 	FilterHits   int64
 	FilterMisses int64
 	// BatchFlushes counts drained per-task access batches and

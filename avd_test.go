@@ -85,7 +85,7 @@ func TestFigure1AllCheckers(t *testing.T) {
 }
 
 func TestNoLCACacheOption(t *testing.T) {
-	rep := runFigure1(avd.Options{Workers: 2, DisableLCACache: true})
+	rep := runFigure1(avd.Options{Workers: 2, MHP: avd.MHPWalk})
 	if rep.ViolationCount == 0 {
 		t.Fatal("uncached session must still detect")
 	}

@@ -18,10 +18,43 @@ import (
 // and drops only accesses the dedup engine proves are no-op repeats of
 // ones already buffered for the same step and lockset. The tests in
 // this file compare a batched checker against an unbatched one on the
-// same inputs, at the same three strengths as the filter differential:
-// byte-identical violation reports on serial traces, identical violated
-// location sets on random interleavings, and identical location sets
-// between live scheduler runs — plus the oracle anchor.
+// same inputs, at three strengths: byte-identical violation reports on
+// serial traces, identical violated location sets on random
+// interleavings, and identical location sets between live scheduler
+// runs — plus oracle anchors for both paths.
+
+// filterCfg generates programs whose steps run long enough, and revisit
+// locations often enough, for the batch deduplicator and the elision
+// cache to engage — otherwise the differential comparisons are vacuous
+// (hammerProgram guarantees at least one engaged task regardless).
+func filterCfg() sptest.GenConfig {
+	return sptest.GenConfig{
+		MaxItems: 5, MaxDepth: 3, MaxSteps: 14,
+		Locations: 2, MaxAccess: 8, Locks: 2, LockProb: 0.3,
+	}
+}
+
+// hammerProgram is a hand-built program that forces the deduplicator to
+// engage: one long step re-reading and re-writing two locations, with a
+// parallel writer making the locations genuinely racy.
+func hammerProgram() *sptest.Program {
+	step := &sptest.StepItem{ID: 1}
+	for i := 0; i < 90; i++ {
+		step.Accesses = append(step.Accesses,
+			sptest.Access{Loc: 0, Write: i%4 == 3, Lock: -1, CS: -1},
+			sptest.Access{Loc: 1, Write: false, Lock: -1, CS: -1})
+	}
+	writer := &sptest.StepItem{ID: 2, Accesses: []sptest.Access{
+		{Loc: 0, Write: true, Lock: -1, CS: -1},
+		{Loc: 1, Write: true, Lock: -1, CS: -1},
+	}}
+	return &sptest.Program{Body: []sptest.Item{
+		&sptest.FinishItem{Body: []sptest.Item{
+			&sptest.SpawnItem{Body: []sptest.Item{step}},
+			writer,
+		}},
+	}}
+}
 
 // replayBatchPair replays tr under opts with batching on and off and
 // returns both reports.
@@ -46,9 +79,9 @@ func replayBatchPair(t *testing.T, tr *avd.Trace, opts avd.Options) (on, off avd
 // unbatched checkers must produce byte-identical violation reports —
 // same violations, same order, same steps and locksets — in paper mode,
 // strict-lock mode, and under injected allocation failures. It also
-// covers the batch+no-filter corner: with the dedup engine disabled,
-// every buffered access must dispatch, matching the unbatched
-// filter-off checker exactly.
+// covers the batch+no-dedup corner: with the dedup engine disabled,
+// every buffered access must dispatch, matching the unbatched checker
+// exactly.
 func TestBatchDifferentialExactReports(t *testing.T) {
 	r := rand.New(rand.NewSource(7801))
 	var batched, hits int64
@@ -82,7 +115,7 @@ func TestBatchDifferentialExactReports(t *testing.T) {
 			}
 			if opts.DisableAccessFilter &&
 				(on.Stats.FilterHits != 0 || on.Stats.FilterMisses != 0) {
-				t.Fatalf("program %d: batched filter-off run reported dedup counters %d/%d",
+				t.Fatalf("program %d: batched dedup-off run reported dedup counters %d/%d",
 					i, on.Stats.FilterHits, on.Stats.FilterMisses)
 			}
 			batched += on.Stats.BatchedAccesses
@@ -135,6 +168,40 @@ func TestBatchDifferentialLive(t *testing.T) {
 		if !sameLocs(on, off) {
 			t.Fatalf("trial %d: batched live run detected %v, unbatched %v\nprogram:\n%s",
 				trial, on, off, p)
+		}
+	}
+}
+
+// TestFilterSerialReplayMatchesOracle anchors the default (unbatched)
+// path in ground truth: on programs small enough for the all-schedules
+// oracle, the serial replay detects exactly the violating locations the
+// oracle predicts (the serial interleaving loses no violations, because
+// detection is DPST- not schedule-based). The batch and elision
+// differentials compare against this path.
+func TestFilterSerialReplayMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(7704))
+	for trial := 0; trial < 60; trial++ {
+		cfg := sptest.GenConfig{
+			MaxItems: 4, MaxDepth: 3, MaxSteps: 10,
+			Locations: 2, MaxAccess: 6, Locks: 1, LockProb: 0.25,
+		}
+		p := sptest.Random(r, cfg)
+		tr, err := trace.Compile(p).ScheduleSerial()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		rep, err := avd.ReplayTrace(tr, avd.Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		got := make(map[int]bool)
+		for _, v := range rep.Violations {
+			got[int(v.Loc-trace.LocBase)] = true
+		}
+		want := oracle.Violations(sptest.Build(dpst.ArrayLayout, p), oracle.ModePaper)
+		if !sameLocs(got, want) {
+			t.Fatalf("trial %d: serial replay %v, oracle %v\nprogram:\n%s",
+				trial, got, want, p)
 		}
 	}
 }
@@ -200,7 +267,7 @@ func replayElisionPair(t *testing.T, tr *avd.Trace, opts avd.Options) (on, off a
 
 // TestElisionDifferentialExactReports: on serial schedules the two runs
 // must produce byte-identical violation reports in paper mode, strict
-// mode, under injected allocation failures, and in the filter-off
+// mode, under injected allocation failures, and in the dedup-off
 // corner — where disabling the deduplicator implies no elision either,
 // so the reports must still agree while both elision counters stay zero.
 func TestElisionDifferentialExactReports(t *testing.T) {
@@ -232,7 +299,7 @@ func TestElisionDifferentialExactReports(t *testing.T) {
 					i, off.Stats.WindowElisions)
 			}
 			if opts.DisableAccessFilter && on.Stats.WindowElisions != 0 {
-				t.Fatalf("program %d: filter-off run reported %d window elisions (dedup off implies elision off)",
+				t.Fatalf("program %d: dedup-off run reported %d window elisions (dedup off implies elision off)",
 					i, on.Stats.WindowElisions)
 			}
 			// Attribution may shift between the two counters, but the total

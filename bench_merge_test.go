@@ -46,7 +46,7 @@ func benchMergePattern(b *testing.B, opts avd.Options) {
 	})
 }
 
-func BenchmarkMergeFilter(b *testing.B) {
+func BenchmarkMergeDefault(b *testing.B) {
 	benchMergePattern(b, avd.Options{Workers: 1})
 }
 

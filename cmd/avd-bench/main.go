@@ -7,14 +7,13 @@
 //
 //	avd-bench [-figure 13|14|all] [-kernels k1,k2] [-workers N] [-scale F]
 //	          [-reps N] [-json PATH] [-cpuprofile PATH] [-memprofile PATH]
-//	          [-require-filter-hits] [-require-window-elisions]
-//	          [-require-batch-le-filter k1,k2]
+//	          [-require-window-elisions] [-require-batch-le-default k1,k2]
 //
 // As in the paper, each benchmark is executed repeatedly and the average
 // is reported; absolute times depend on this machine, but the shape —
 // who wins and by roughly what factor — should match the paper. With
 // -json the selected figure's raw measurements (wall times, slowdowns,
-// geomeans, filter hit/miss counters) are additionally written to PATH
+// geomeans, batch dedup and elision counters) are additionally written to PATH
 // as indented JSON; when -figure all, the JSON carries Figure 13.
 //
 // -kernels restricts the sweep to the named kernels, so a CI gate can
@@ -22,24 +21,21 @@
 // figure run would.
 //
 // -cpuprofile and -memprofile write pprof profiles of the measurement
-// run. -require-filter-hits exits nonzero when the avd-filter
-// configuration reports zero redundant-access filter hits, or when the
-// avd-batch configuration (Figure 13) reports zero batch flushes,
-// batched accesses, or front-end saves (dedup hits plus window
-// elisions; the handle-layer front end answers most saturated repeats
-// before the dedup table sees them, so the two counters are one
-// engagement signal) — the CI guard against the filter or the
-// coalescer silently wedging open. -require-window-elisions is the
-// same guard for the coalescer's handle-layer front end alone: it
-// exits nonzero when the avd-batch configuration reports zero window
-// elisions. -require-batch-le-filter takes a comma-separated list of
-// kernel[:slack] entries and exits nonzero when avd-batch's slowdown
-// exceeds avd-filter's (times the optional slack factor) on any of
-// them — the regression gate for the kernels batching exists to win
-// on. The slack form exists for kernels whose batched path carries a
-// known, bounded structural cost (see DESIGN.md §4.3 on why short
-// repeat runs cannot be elided): "sort:1.3" fails only when sort's
-// batched slowdown exceeds 1.3x its filtered slowdown.
+// run. -require-window-elisions exits nonzero when the measured figure
+// has no avd-batch configuration, or when that configuration reports
+// zero batch flushes, batched accesses, front-end saves (dedup hits
+// plus window elisions; the handle-layer front end answers most
+// saturated repeats before the dedup table sees them, so the two
+// counters are one engagement signal) or window elisions — the CI
+// guard against the coalescer or its handle-layer front end silently
+// wedging open. -require-batch-le-default takes a comma-separated list
+// of kernel[:slack] entries and exits nonzero when avd-batch's slowdown
+// exceeds the default configuration's (avd-labels, times the optional
+// slack factor) on any of them — the regression gate for the kernels
+// batching exists to win on. The slack form exists for kernels whose
+// batched path carries a known, bounded structural cost (see DESIGN.md
+// §4.3 on why short repeat runs cannot be elided): "sort:1.3" fails
+// only when sort's batched slowdown exceeds 1.3x its default slowdown.
 //
 // -debug-addr serves expvar on the given address while the benchmarks
 // run: GET /debug/vars carries an "avd" variable with a live Snapshot
@@ -75,9 +71,8 @@ func main() {
 	jsonPath := flag.String("json", "", "also write the figure's measurements to this file as JSON")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	requireHits := flag.Bool("require-filter-hits", false, "fail when the avd-filter configuration reports zero filter hits")
-	requireElisions := flag.Bool("require-window-elisions", false, "fail when the avd-batch configuration reports zero window elisions")
-	batchLEFilter := flag.String("require-batch-le-filter", "", "comma-separated kernels on which avd-batch's slowdown must not exceed avd-filter's")
+	requireElisions := flag.Bool("require-window-elisions", false, "fail when the avd-batch configuration reports no batching activity or zero window elisions")
+	batchLEDefault := flag.String("require-batch-le-default", "", "comma-separated kernels on which avd-batch's slowdown must not exceed avd-labels'")
 	debugAddr := flag.String("debug-addr", "", "serve expvar (incl. a live session snapshot) on this address, e.g. localhost:6060")
 	flag.Parse()
 
@@ -129,7 +124,7 @@ func main() {
 	}
 
 	// render measures one figure, prints it, and remembers its data for
-	// the optional JSON dump and the filter-hit guard.
+	// the optional JSON dump and the coalescer guards.
 	var jsonData *harness.FigureData
 	render := func(title string, data func(int, float64, int, ...string) (*harness.FigureData, error), keep bool) {
 		d, err := data(*workers, *scale, *reps, kernels...)
@@ -162,55 +157,33 @@ func main() {
 		fmt.Printf("\nwrote %s\n", *jsonPath)
 	}
 
-	if *requireHits {
-		var hits, misses int64
-		var batchSaves, batchFlushes, batchedAccesses int64
+	if *requireElisions {
+		var elisions, batchSaves, batchFlushes, batchedAccesses int64
 		for _, r := range jsonData.Results {
-			switch r.Config {
-			case "avd-filter":
-				hits += r.FilterHits
-				misses += r.FilterMisses
-			case "avd-batch":
+			if r.Config == "avd-batch" {
+				elisions += r.WindowElisions
 				batchSaves += r.FilterHits + r.WindowElisions
 				batchFlushes += r.BatchFlushes
 				batchedAccesses += r.BatchedAccesses
 			}
 		}
-		fmt.Printf("\navd-filter: %d filter hits, %d misses\n", hits, misses)
-		if hits == 0 {
-			log.Fatal("avd-bench: -require-filter-hits: the avd-filter configuration reported zero filter hits")
-		}
-		if batchFlushes > 0 || batchedAccesses > 0 || batchSaves > 0 {
-			fmt.Printf("avd-batch: %d front-end saves (dedup hits + elisions), %d flushes, %d batched accesses\n",
-				batchSaves, batchFlushes, batchedAccesses)
-			if batchFlushes == 0 || batchedAccesses == 0 {
-				log.Fatal("avd-bench: -require-filter-hits: the avd-batch configuration never flushed a batch")
-			}
-			if batchSaves == 0 {
-				log.Fatal("avd-bench: -require-filter-hits: the avd-batch front end reported neither dedup hits nor window elisions")
-			}
-		} else if figureHasConfig(jsonData, "avd-batch") {
-			log.Fatal("avd-bench: -require-filter-hits: the avd-batch configuration recorded no batching activity")
-		}
-	}
-
-	if *requireElisions {
-		var elisions int64
-		for _, r := range jsonData.Results {
-			if r.Config == "avd-batch" {
-				elisions += r.WindowElisions
-			}
-		}
-		fmt.Printf("avd-batch: %d window elisions\n", elisions)
+		fmt.Printf("\navd-batch: %d front-end saves (dedup hits + elisions), %d flushes, %d batched accesses, %d window elisions\n",
+			batchSaves, batchFlushes, batchedAccesses, elisions)
 		if !figureHasConfig(jsonData, "avd-batch") {
 			log.Fatal("avd-bench: -require-window-elisions: the measured figure has no avd-batch configuration")
+		}
+		if batchFlushes == 0 || batchedAccesses == 0 {
+			log.Fatal("avd-bench: -require-window-elisions: the avd-batch configuration never flushed a batch")
+		}
+		if batchSaves == 0 {
+			log.Fatal("avd-bench: -require-window-elisions: the avd-batch front end reported neither dedup hits nor window elisions")
 		}
 		if elisions == 0 {
 			log.Fatal("avd-bench: -require-window-elisions: the avd-batch configuration reported zero window elisions")
 		}
 	}
 
-	if *batchLEFilter != "" {
+	if *batchLEDefault != "" {
 		slowdown := make(map[string]map[string]float64) // kernel -> config -> slowdown
 		for _, r := range jsonData.Results {
 			if slowdown[r.Kernel] == nil {
@@ -218,35 +191,35 @@ func main() {
 			}
 			slowdown[r.Kernel][r.Config] = r.Slowdown
 		}
-		for _, spec := range strings.Split(*batchLEFilter, ",") {
+		for _, spec := range strings.Split(*batchLEDefault, ",") {
 			spec = strings.TrimSpace(spec)
 			if spec == "" {
 				continue
 			}
-			// kernel[:slack] — slack is a multiplier on the filter
+			// kernel[:slack] — slack is a multiplier on the default
 			// slowdown, for kernels whose batched path has a known,
 			// bounded structural cost (default 1 = strict at-or-below).
 			kernel, slack := spec, 1.0
 			if k, s, ok := strings.Cut(spec, ":"); ok {
 				v, err := strconv.ParseFloat(s, 64)
 				if err != nil || v < 1 {
-					log.Fatalf("avd-bench: -require-batch-le-filter: bad slack in %q (want kernel:factor with factor >= 1)", spec)
+					log.Fatalf("avd-bench: -require-batch-le-default: bad slack in %q (want kernel:factor with factor >= 1)", spec)
 				}
 				kernel, slack = k, v
 			}
 			cfgs, ok := slowdown[kernel]
 			if !ok {
-				log.Fatalf("avd-bench: -require-batch-le-filter: kernel %q was not measured", kernel)
+				log.Fatalf("avd-bench: -require-batch-le-default: kernel %q was not measured", kernel)
 			}
 			batch, okB := cfgs["avd-batch"]
-			filter, okF := cfgs["avd-filter"]
-			if !okB || !okF {
-				log.Fatalf("avd-bench: -require-batch-le-filter: kernel %q is missing the avd-batch or avd-filter configuration", kernel)
+			def, okD := cfgs["avd-labels"]
+			if !okB || !okD {
+				log.Fatalf("avd-bench: -require-batch-le-default: kernel %q is missing the avd-batch or avd-labels configuration", kernel)
 			}
-			fmt.Printf("%s: avd-batch %.2fx vs avd-filter %.2fx (slack %.2f)\n", kernel, batch, filter, slack)
-			if batch > filter*slack {
-				log.Fatalf("avd-bench: -require-batch-le-filter: %s regressed: avd-batch %.2fx > avd-filter %.2fx x %.2f",
-					kernel, batch, filter, slack)
+			fmt.Printf("%s: avd-batch %.2fx vs avd-labels %.2fx (slack %.2f)\n", kernel, batch, def, slack)
+			if batch > def*slack {
+				log.Fatalf("avd-bench: -require-batch-le-default: %s regressed: avd-batch %.2fx > avd-labels %.2fx x %.2f",
+					kernel, batch, def, slack)
 			}
 		}
 	}
@@ -255,8 +228,7 @@ func main() {
 }
 
 // figureHasConfig reports whether the measured figure included the
-// named configuration (Figure 14 has no avd-batch column, so the batch
-// guard must not fire on it).
+// named configuration (Figure 14 has no avd-batch column).
 func figureHasConfig(d *harness.FigureData, name string) bool {
 	for _, c := range d.Configs {
 		if c == name {

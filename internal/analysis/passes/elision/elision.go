@@ -8,9 +8,10 @@
 // an atomicity violation: there is no parallel step to interleave
 // with. Removing (or never adding) its instrumentation is therefore
 // sound, exactly like the annotation pruning a compiler pass would do.
-// This composes with the dynamic redundant-access filter: the filter
-// skips repeat accesses at runtime, elision removes the handle's
-// events altogether.
+// This composes with the checker's dynamic repeat skipping (the
+// offer-once flags, and the batch deduplicator under Batch): those skip
+// repeat accesses at runtime, elision removes the handle's events
+// altogether.
 //
 // Two proofs are attempted, cheapest first. The single-step proof is
 // purely local: the handle is bound once by x := s.New*Var(...), never

@@ -10,7 +10,7 @@ import (
 )
 
 // The step-granular access coalescer ("batched dispatch", see DESIGN.md
-// §4.2). Instead of walking the epoch/lockset/filter machinery on every
+// §4.2). Instead of reading the task's step node and lockset on every
 // instrumented access, each task buffers its accesses in a fixed-size
 // batch and drains them through the optimized checker's dispatch core at
 // step and lock boundaries. The per-access cost collapses to a buffer
@@ -29,15 +29,14 @@ import (
 //     the same points. Buffer overflow also flushes, without closing the
 //     window (the regime is unchanged).
 //
-//  2. The deduplicator skips an access only when the per-access filter
-//     of Access would have skipped it: an access of type T is dropped
-//     only after an earlier access of type T in the same window ran (or
-//     will run, earlier in this batch) as a repeat of its own type, and
-//     a first write re-enables reads (and vice versa) exactly like the
-//     filter word's bit-clearing rule. The soundness argument is
-//     therefore the filter's own (DESIGN.md): every skipped access is a
-//     re-run whose offers and checks have all already been made under an
-//     identical (step, lockset) regime.
+//  2. The deduplicator skips an access only when it is provably
+//     redundant: an access of type T is dropped only after an earlier
+//     access of type T in the same window ran (or will run, earlier in
+//     this batch) as a repeat of its own type, and a first write
+//     re-enables reads (and vice versa), because it newly forms an RW/WR
+//     pattern. Every skipped access is therefore a re-run whose offers
+//     and checks have all already been made under an identical (step,
+//     lockset) regime; DESIGN.md §4.2 gives the full argument.
 //
 //  3. The handle layer's window-elision cache (sched.Elide, installed
 //     through the optional ElideHost interface) only ever holds facts
@@ -72,23 +71,20 @@ const (
 	batchDedupSize = 1 << batchDedupBits
 	batchDedupMask = batchDedupSize - 1
 
-	// Adaptive retirement of the redundancy layer, the batch analog of
-	// the per-access filter's self-retirement (opt.go): once the
-	// current step has fronted batchRetireMin accesses, the redundancy
-	// words and the elision cache are retired for the rest of the step
-	// if they saved fewer than 1/batchRetireRatio of them. The scope is
+	// Adaptive retirement of the redundancy layer: once the current step
+	// has fronted batchRetireMin accesses, the redundancy words and the
+	// elision cache are retired for the rest of the step if they saved
+	// fewer than 1/batchRetireRatio of them. The scope is
 	// the step because that is where access mixes are homogeneous — an
 	// initialization loop streams, a merge pass repeats — and a long
 	// streaming step must neither pay the maintenance forever nor
 	// disable the layer for the repeat-heavy steps after it (the step
-	// flush re-arms everything). The ratio is calibrated far lower than
-	// the unbatched filterProbeRatio because the economics differ: a
-	// front-end save here skips a full dispatchEntry walk (tens of ns)
-	// while the per-access maintenance costs a few, so the layer pays
-	// for itself down to a few-percent yield. The entry cache half of
-	// the dedup table (loc → localEntry) is never retired: it replaces
-	// a hash probe with one compare and stays profitable regardless of
-	// repeat rate.
+	// flush re-arms everything). The ratio is low because a front-end
+	// save skips a full dispatchEntry walk (tens of ns) while the
+	// per-access maintenance costs a few, so the layer pays for itself
+	// down to a few-percent yield. The entry cache half of the dedup
+	// table (loc → localEntry) is never retired: it replaces a hash probe
+	// with one compare and stays profitable regardless of repeat rate.
 	batchRetireMin   = 1 << 12
 	batchRetireRatio = 32
 )
@@ -101,9 +97,9 @@ type batchAccess struct {
 }
 
 // batchDedupEntry is one direct-mapped dedup slot. bits is the epoch-
-// scoped redundancy word (same semantics as filterEntry.bits), seen the
-// step-scoped "this step already dispatched a read/write here" pair that
-// decides whether the next dispatch runs as a repeat of its type. Both
+// scoped redundancy word (filtR/filtW), seen the step-scoped "this step
+// already dispatched a read/write here" pair that decides whether the
+// next dispatch runs as a repeat of its type. Both
 // are invalidated lazily by generation stamps so neither flushes nor
 // task reuse ever sweep the table: egen advances on every lockset or
 // step transition, sgen only on step transitions (a step's repeat facts
@@ -120,11 +116,34 @@ type batchDedupEntry struct {
 	seen uint8
 }
 
+// Redundancy word bits. filtR means a further read under the same
+// (step, lockset) window is provably redundant, filtW the same for
+// writes. A bit is set only after an access of that type ran as a
+// repeat — with its own local entry already recorded — so every pattern
+// kind the current step can form has been offered before the type
+// becomes skippable. A step's first write clears filtR (the next read
+// newly forms a WR pattern) and its first read clears filtW (the next
+// write newly forms an RW pattern); see DESIGN.md §4.2.
+const (
+	filtR uint8 = 1 << iota
+	filtW
+)
+
 // seen bits of batchDedupEntry (distinct from filtR/filtW only in role).
 const (
 	seenR uint8 = 1 << iota
 	seenW
 )
+
+// filterCounters holds one batch space's dedup hit/miss counters,
+// registered with the checker once per pooled space. The fields are
+// atomic so Stats can be read live, mid-run, by Session.Snapshot; each
+// counter is written only by the goroutine of the task currently owning
+// the space, so the adds are uncontended.
+type filterCounters struct {
+	hits   atomic.Int64
+	misses atomic.Int64
+}
 
 // batchSpace is one task's coalescer state, kept in Task.Local. It owns
 // the task's inner localSpace, so the optimized dispatch core sees
@@ -200,8 +219,8 @@ type Batched struct {
 	inner *Optimized
 	hub   *obs.Hub
 	// dedupOff disables the batch deduplicator (every buffered access
-	// dispatches), mirroring Options.DisableAccessFilter for ablations
-	// and differential tests of pure batching.
+	// dispatches): Options.DisableAccessFilter, for ablations and
+	// differential tests of pure batching.
 	dedupOff bool
 	// elideOff keeps the window-saturation cache out of tasks: set by
 	// Options.DisableWindowElision, and implied by dedupOff (with the
@@ -212,20 +231,21 @@ type Batched struct {
 	nextHint atomic.Uint64
 	pool     sync.Pool
 
+	// counters tracks every batch space's dedup counters; registration
+	// happens once per pooled space, so the lock is cold.
+	countersMu sync.Mutex
+	counters   []*filterCounters
+
 	flushes  obs.Striped
 	accesses obs.Striped
 	elisions obs.Striped
 }
 
 // newBatched builds the batched dispatcher over a fresh optimized
-// checker. The inner per-access filter stays off: the deduplicator
-// subsumes it (with no warm-up window, which short-lived tasks never
-// finished), and the inner Access path is not used while batching.
+// checker, whose dispatch core drains the batches.
 func newBatched(opts Options) *Batched {
-	inner := newOptimized(opts)
-	inner.noFilter = true
 	return &Batched{
-		inner:    inner,
+		inner:    newOptimized(opts),
 		hub:      opts.Hub,
 		dedupOff: opts.DisableAccessFilter,
 		elideOff: opts.DisableWindowElision || opts.DisableAccessFilter,
@@ -240,6 +260,12 @@ func (b *Batched) Reporter() *Reporter { return b.inner.Reporter() }
 // the checker-local striped counters otherwise (hub-less replay).
 func (b *Batched) Stats() Stats {
 	st := b.inner.Stats()
+	b.countersMu.Lock()
+	for _, ctr := range b.counters {
+		st.FilterHits += ctr.hits.Load()
+		st.FilterMisses += ctr.misses.Load()
+	}
+	b.countersMu.Unlock()
 	if b.hub != nil {
 		st.BatchFlushes = b.hub.Count(obs.EventBatchFlush)
 		st.BatchedAccesses = b.hub.Count(obs.EventBatchedAccess)
@@ -252,6 +278,14 @@ func (b *Batched) Stats() Stats {
 	return st
 }
 
+// registerCounters adds one batch space's counters to the registry
+// summed by Stats. Called once per pooled space (cold).
+func (b *Batched) registerCounters(ctr *filterCounters) {
+	b.countersMu.Lock()
+	b.counters = append(b.counters, ctr)
+	b.countersMu.Unlock()
+}
+
 // newSpace creates (or recycles) the task's batch state on the task's
 // first access. This is also where the window-elision front end is
 // wired: when ts's handle layer hosts an elision cache and elision is
@@ -262,7 +296,7 @@ func (b *Batched) newSpace(ts TaskState, slot *any) *batchSpace {
 	bs, _ := b.pool.Get().(*batchSpace)
 	if bs == nil {
 		bs = &batchSpace{ctr: &filterCounters{}}
-		b.inner.registerCounters(bs.ctr)
+		b.registerCounters(bs.ctr)
 		bs.sp = b.inner.makeSpace()
 		// The counter-shard hint is per-space, not per-task: a pooled
 		// space keeps its shard, which spreads concurrent flushers just
@@ -322,7 +356,7 @@ func (b *Batched) Access(ts TaskState, loc sched.Loc, write bool) {
 		// until the step flush re-arms buffering, so dispatch order is
 		// preserved; a one-access window is just the smallest legal batch.
 		if !bs.captured {
-			_, bs.step, _, bs.locks = ts.AccessState()
+			_, bs.step, bs.locks = ts.AccessState()
 			bs.captured = true
 		}
 		b.inner.dispatchEntry(bs.sp, ls, loc, bs.step, bs.locks, write)
@@ -352,7 +386,7 @@ func (b *Batched) Access(ts TaskState, loc sched.Loc, write bool) {
 		// run as a repeat" is decidable here. A repeat of its own type
 		// makes the type redundant for the rest of the epoch; a first
 		// access of a type re-enables the other type (it newly forms an
-		// RW/WR pattern), mirroring Access's filter-word update.
+		// RW/WR pattern).
 		//
 		// Mirror invariant, tracking arm: publish the word whenever it
 		// changes — downward moves included, because a first write
@@ -384,7 +418,7 @@ func (b *Batched) Access(ts TaskState, loc sched.Loc, write bool) {
 		}
 	}
 	if !bs.captured {
-		_, bs.step, _, bs.locks = ts.AccessState()
+		_, bs.step, bs.locks = ts.AccessState()
 		bs.captured = true
 	}
 	bs.buf[bs.n] = batchAccess{e: ls, locW: uint64(loc)<<1 | b2u(write)}
@@ -428,7 +462,7 @@ func (b *Batched) flush(bs *batchSpace, kind int) {
 		sp, si, locks := bs.sp, bs.step, bs.locks
 		for i := 0; i < bs.n; i++ {
 			a := &bs.buf[i]
-			_, _, outcome := b.inner.dispatchEntry(sp, a.e, sched.Loc(a.locW>>1), si, locks, a.locW&1 != 0)
+			outcome := b.inner.dispatchEntry(sp, a.e, sched.Loc(a.locW>>1), si, locks, a.locW&1 != 0)
 			if !b.dedupOff && !bs.retired {
 				switch outcome {
 				case dispatchRan:

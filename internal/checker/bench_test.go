@@ -1,7 +1,6 @@
 package checker_test
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/taskpar/avd/internal/checker"
@@ -11,10 +10,9 @@ import (
 
 // benchTask is a minimal TaskState for driving the checker hot path
 // directly, without the scheduler: the benchmark controls the step and
-// the filter epoch by hand.
+// lockset by hand.
 type benchTask struct {
 	step  dpst.NodeID
-	epoch uint64
 	locks []uint64
 	local any
 }
@@ -22,17 +20,16 @@ type benchTask struct {
 func (b *benchTask) StepNode() dpst.NodeID { return b.step }
 func (b *benchTask) Lockset() []uint64     { return b.locks }
 func (b *benchTask) LocalSlot() *any       { return &b.local }
-func (b *benchTask) FilterEpoch() uint64   { return b.epoch }
 
-func (b *benchTask) AccessState() (*any, dpst.NodeID, uint64, []uint64) {
-	return &b.local, b.step, b.epoch, b.locks
+func (b *benchTask) AccessState() (*any, dpst.NodeID, []uint64) {
+	return &b.local, b.step, b.locks
 }
 
 // benchChecker builds a label-mode checker over a two-task tree, the
 // configuration the figure benchmarks run, and returns the checker plus
 // a task positioned on a step that has a parallel sibling (so dispatch
 // runs real Par queries, not the a==b early-out).
-func benchChecker(disableFilter bool) (checker.Checker, *benchTask) {
+func benchChecker() (checker.Checker, *benchTask) {
 	tree := dpst.NewArrayTree()
 	root := tree.NewNode(dpst.None, dpst.Finish, 0)
 	a1 := tree.NewNode(root, dpst.Async, 0)
@@ -40,124 +37,65 @@ func benchChecker(disableFilter bool) (checker.Checker, *benchTask) {
 	a2 := tree.NewNode(root, dpst.Async, 0)
 	tree.NewNode(a2, dpst.Step, 2)
 	c := checker.New(checker.Options{
-		Query:               dpst.NewQueryMode(tree, dpst.ModeLabels),
-		Reporter:            checker.NewReporter(0),
-		DisableAccessFilter: disableFilter,
+		Query:    dpst.NewQueryMode(tree, dpst.ModeLabels),
+		Reporter: checker.NewReporter(0),
 	})
-	return c, &benchTask{step: s1, epoch: 1}
-}
-
-// onOff runs the benchmark body under both filter settings.
-func onOff(b *testing.B, body func(b *testing.B, disableFilter bool)) {
-	for _, off := range []bool{false, true} {
-		name := "filter"
-		if off {
-			name = "nofilter"
-		}
-		b.Run(name, func(b *testing.B) { body(b, off) })
-	}
+	return c, &benchTask{step: s1}
 }
 
 // BenchmarkAccessFirstTouch: every access is the task's first to its
 // location (a fresh task every 512 accesses, locations cycling in a
-// fixed window) — the raycast-at-grain-1 profile where neither the
-// local map nor the filter can ever hit. Measures pure filter overhead
-// plus per-task setup amortized at a realistic rate.
+// fixed window) — the raycast-at-grain-1 profile where the local
+// location table never hits. Measures per-task setup amortized at a
+// realistic rate plus the first-touch dispatch.
 func BenchmarkAccessFirstTouch(b *testing.B) {
-	onOff(b, func(b *testing.B, off bool) {
-		c, tk := benchChecker(off)
-		const window = 1 << 14
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if i%512 == 0 {
-				tk = &benchTask{step: tk.step, epoch: tk.epoch}
-			}
-			c.Access(tk, sched.Loc(1+i%window), i%4 == 3)
+	c, tk := benchChecker()
+	const window = 1 << 14
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%512 == 0 {
+			tk = &benchTask{step: tk.step}
 		}
-	})
+		c.Access(tk, sched.Loc(1+i%window), i%4 == 3)
+	}
 }
 
 // BenchmarkAccessRepeat: the same location hammered by one step,
 // lock-free — after the pattern offers complete, every access is
-// answered by the filter word (or the offer-once flags when disabled).
+// answered by the offer-once flags.
 func BenchmarkAccessRepeat(b *testing.B) {
-	onOff(b, func(b *testing.B, off bool) {
-		c, tk := benchChecker(off)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Access(tk, 1, i%2 == 1)
-		}
-	})
+	c, tk := benchChecker()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Access(tk, 1, i%2 == 1)
+	}
 }
 
 // BenchmarkAccessLoopReuse: a step sweeping a working set of 48
 // locations with a load-modify-store per element, lock-free — the
-// sort/karatsuba inner-loop profile. The working set fits the cache, so
-// the warm-up window enables the filter, and the sweep exercises most
-// of its 64 entries.
+// sort/karatsuba inner-loop profile: one location-table probe plus the
+// offer-once fast path per access.
 func BenchmarkAccessLoopReuse(b *testing.B) {
-	onOff(b, func(b *testing.B, off bool) {
-		c, tk := benchChecker(off)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			loc := sched.Loc(1 + i%48)
-			c.Access(tk, loc, false)
-			c.Access(tk, loc, true)
-		}
-	})
+	c, tk := benchChecker()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		loc := sched.Loc(1 + i%48)
+		c.Access(tk, loc, false)
+		c.Access(tk, loc, true)
+	}
 }
 
 // BenchmarkAccessLockedAdd: the kmeans merge profile — read+write pairs
-// to a small accumulator set under a lock whose acquire/release bumps
-// the epoch every round, so the redundancy word never matches but the
-// location cache still resolves the local entry.
+// to a small accumulator set under a lock. Locked repeats always take
+// the full dispatch, since the offer-once flags only cover lock-free
+// accesses.
 func BenchmarkAccessLockedAdd(b *testing.B) {
-	onOff(b, func(b *testing.B, off bool) {
-		c, tk := benchChecker(off)
-		tk.locks = []uint64{7}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			loc := sched.Loc(1 + i%8)
-			if i%8 == 0 {
-				tk.epoch++ // lock re-acquired: lockset version advances
-			}
-			c.Access(tk, loc, false)
-			c.Access(tk, loc, true)
-		}
-	})
-}
-
-// BenchmarkAccessEpochChurn: a new step region every few accesses over
-// a reused location set — the filter word is perpetually stale and only
-// the cached *localEntry can pay.
-func BenchmarkAccessEpochChurn(b *testing.B) {
-	onOff(b, func(b *testing.B, off bool) {
-		c, tk := benchChecker(off)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if i%4 == 0 {
-				tk.epoch++
-			}
-			c.Access(tk, sched.Loc(1+i%32), false)
-		}
-	})
-}
-
-func ExampleStats_filterCounters() {
-	c, tk := benchChecker(false)
-	// A warm-up window of repeats over a handful of locations keeps the
-	// working set inside the cache, so the filter enables; the priming
-	// dispatches count as misses and the steady-state repeats as hits.
-	for i := 0; i < 80; i++ {
-		c.Access(tk, sched.Loc(1+i%8), false)
-		c.Access(tk, sched.Loc(1+i%8), false)
+	c, tk := benchChecker()
+	tk.locks = []uint64{7}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		loc := sched.Loc(1 + i%8)
+		c.Access(tk, loc, false)
+		c.Access(tk, loc, true)
 	}
-	for i := 0; i < 32; i++ {
-		c.Access(tk, 1, false)
-	}
-	// A location first touched after enablement dispatches in full: a miss.
-	c.Access(tk, 100, false)
-	st := c.Stats()
-	fmt.Println(st.FilterHits > 0, st.FilterMisses > 0)
-	// Output: true true
 }

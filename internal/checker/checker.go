@@ -131,11 +131,10 @@ type Options struct {
 	Query *dpst.Query
 	// Reporter collects violations; a fresh one is created when nil.
 	Reporter *Reporter
-	// DisableAccessFilter turns off the optimized checker's
-	// redundant-access filter (the per-task epoch filter and
-	// direct-mapped location cache in front of the dispatch), for
-	// ablation benchmarks and differential testing. The basic checker
-	// has no filter and ignores the flag.
+	// DisableAccessFilter turns off the batch deduplicator and, with it,
+	// window elision (every buffered access dispatches), for ablation
+	// benchmarks and differential testing. Meaningless outside batched
+	// dispatch.
 	DisableAccessFilter bool
 	// StrictLockChecks enables the extension described in DESIGN.md:
 	// two-access patterns whose accesses share a lock are still tracked
@@ -151,10 +150,10 @@ type Options struct {
 	Gate *chaos.Gate
 	// Batch wraps the optimized checker in the step-granular batched
 	// dispatcher: accesses are coalesced per task, deduplicated, and
-	// dispatched at step/lock boundaries with the epoch, lockset, and
-	// filter state read once per batch. Requires the event source to
-	// deliver the structure and lock callbacks (the live scheduler and
-	// the trace replayer both do). Ignored by the basic checker.
+	// dispatched at step/lock boundaries with the step node and lockset
+	// read once per batch. Requires the event source to deliver the
+	// structure and lock callbacks (the live scheduler and the trace
+	// replayer both do). Ignored by the basic checker.
 	Batch bool
 	// DisableWindowElision keeps the batched dispatcher from installing
 	// the handle-layer window-saturation cache (sched.Elide) into tasks:
@@ -178,17 +177,11 @@ type TaskState interface {
 	Lockset() []uint64
 	// LocalSlot returns a pointer to monitor-owned per-task storage.
 	LocalSlot() *any
-	// FilterEpoch returns a version word that changes whenever the task
-	// moves to a new step node or changes its lockset. The checker's
-	// redundant-access filter trusts a cached redundancy fact only while
-	// the epoch is unchanged, so implementations must never reuse a
-	// value across a step transition or lock operation.
-	FilterEpoch() uint64
-	// AccessState returns the four facts above in one call — the hot
-	// path pays one indirect call instead of four. The results must be
+	// AccessState returns the three facts above in one call — the hot
+	// path pays one indirect call instead of three. The results must be
 	// exactly what the individual getters would have returned, in order
-	// (LocalSlot, StepNode, FilterEpoch, Lockset).
-	AccessState() (slot *any, step dpst.NodeID, epoch uint64, locks []uint64)
+	// (LocalSlot, StepNode, Lockset).
+	AccessState() (slot *any, step dpst.NodeID, locks []uint64)
 }
 
 // ElideHost is the optional TaskState extension of event sources whose
@@ -218,12 +211,11 @@ type Checker interface {
 type Stats struct {
 	// Locations is the number of unique instrumented locations accessed.
 	Locations int64
-	// FilterHits counts accesses skipped by the redundant-access filter
-	// (epoch-word hits plus offer-once fast-path skips); FilterMisses
-	// counts accesses that consulted the filter and fell through to the
-	// full dispatch. Both are zero when the filter is disabled or for
-	// the basic checker. Under batched dispatch the same pair counts the
-	// batch deduplicator's skips and full dispatches.
+	// FilterHits counts accesses the batch deduplicator skipped, plus
+	// drained accesses the offer-once fast path answered; FilterMisses
+	// counts drained accesses that ran the full dispatch. Both read zero
+	// on the per-access (unbatched) path, with the deduplicator disabled,
+	// and for the basic checker.
 	FilterHits   int64
 	FilterMisses int64
 	// BatchFlushes counts drained per-task access batches and

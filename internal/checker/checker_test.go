@@ -19,19 +19,8 @@ func (f *fakeTask) StepNode() dpst.NodeID { return f.step }
 func (f *fakeTask) Lockset() []uint64     { return f.locks }
 func (f *fakeTask) LocalSlot() *any       { return &f.local }
 
-// FilterEpoch hashes the current step and lockset tokens: tests mutate
-// the fake's fields directly between accesses, and in the checker's
-// model an identical (step, tokens) pair IS the same epoch.
-func (f *fakeTask) FilterEpoch() uint64 {
-	h := uint64(14695981039346656037)
-	for _, l := range f.locks {
-		h = (h ^ l) * 1099511628211
-	}
-	return h ^ uint64(f.step)<<1
-}
-
-func (f *fakeTask) AccessState() (*any, dpst.NodeID, uint64, []uint64) {
-	return &f.local, f.step, f.FilterEpoch(), f.locks
+func (f *fakeTask) AccessState() (*any, dpst.NodeID, []uint64) {
+	return &f.local, f.step, f.locks
 }
 
 // figure2 rebuilds the DPST of the paper's running example.

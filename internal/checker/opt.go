@@ -1,9 +1,6 @@
 package checker
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"github.com/taskpar/avd/internal/dpst"
 	"github.com/taskpar/avd/internal/sched"
 )
@@ -71,8 +68,8 @@ type optCell struct {
 	// classifies a candidate-role triple as observed (the interleaver
 	// arrived between the pattern's two accesses in this schedule) or
 	// inferred for another schedule. Ticks never reach reports directly —
-	// only the derived Observed bit does — so filtered-out dispatches
-	// shifting tick values cannot perturb report content.
+	// only the derived Observed bit does — so skipped or deduplicated
+	// dispatches shifting tick values cannot perturb report content.
 	tick       uint64
 	singleTick [4]uint64
 }
@@ -152,79 +149,6 @@ type localEntry struct {
 	writeTick uint64
 }
 
-// The redundant-access filter in front of the full dispatch: a small
-// per-task direct-mapped cache indexed by the location's low bits. Each
-// entry caches the location's local entry (valid for the task's whole
-// lifetime, killing the local-map probe on repeat locations) and a
-// redundancy word (valid only while the task's filter epoch — step
-// region and lockset version — is unchanged, see Task.FilterEpoch).
-const (
-	filterCacheBits = 6 // 64 entries, 2 KiB per task
-	filterCacheSize = 1 << filterCacheBits
-	filterCacheMask = filterCacheSize - 1
-)
-
-// Redundancy word bits. filtR means a further read under the same
-// filter epoch is provably redundant, filtW the same for writes. A bit
-// is set only after an access of that type ran the full dispatch (or
-// the offer-once fast path) as a repeat — i.e. with its own local entry
-// already recorded — so every pattern kind the current step can form
-// has been offered before the type becomes skippable. A step's first
-// write clears filtR (the next read newly forms a WR pattern) and its
-// first read clears filtW (the next write newly forms an RW pattern);
-// see DESIGN.md for the full soundness argument.
-const (
-	filtR uint8 = 1 << iota
-	filtW
-)
-
-type filterEntry struct {
-	loc  sched.Loc // 0 = empty (location IDs start at 1)
-	e    *localEntry
-	ver  uint64
-	bits uint8
-	// hot marks an entry that has answered at least one repeat since it
-	// was installed. A conflicting location only evicts a hot entry on
-	// its second try (clearing hot on the first), so a sweep of
-	// single-use locations cannot purge the entries that actually serve
-	// repeats — the classic second-chance policy, one byte per entry.
-	hot uint8
-}
-
-type filterCache [filterCacheSize]filterEntry
-
-// The filter cache is allocated per task only on evidence that it can
-// pay: after the task's first filterWarmup accesses, the filter enables
-// iff they touched at most filterCacheSize distinct locations — a
-// working set the direct-mapped cache can actually hold, implying the
-// window revisited locations. The distinct count is the location
-// table's size, already maintained, so warm-up costs one counter
-// increment per access; streaming tasks (one ray, one chunk of a sweep,
-// an array-initialising root task) decide against the 2 KiB allocation
-// once and never pay again.
-const filterWarmup = 2 * filterCacheSize
-
-// Enablement states (localSpace.fstate). The enabled state is implied
-// by a non-nil cache; fstate distinguishes "still probing" from
-// "decided against / retired / disabled", so a retired task can never
-// re-enter warm-up and thrash allocate-retire cycles.
-const (
-	filterWarming int8 = iota
-	filterOff
-)
-
-// The filter retires itself per task when it stops paying: at
-// filterProbeFirst counted accesses and then every filterProbeWindow,
-// the probe hit count is compared against total/filterProbeRatio, and
-// the cache is dropped — permanently for this task — when the access
-// mix shows (almost) no location reuse. The early first check matters:
-// most tasks die long before a full window.
-const (
-	filterProbeFirst  = 256
-	filterProbeWindow = 8192
-	filterProbeRatio  = 16
-)
-
 // locTable maps a task's accessed locations to their local entries: an
 // open-addressing table (power-of-two capacity, Fibonacci hashing,
 // linear probing) replacing the built-in map on the hot path. A lookup
@@ -296,17 +220,6 @@ func (t *locTable) grow() {
 	}
 }
 
-// filterCounters holds one task's filter hit/miss counters. They live
-// outside localSpace so the checker-wide registry retains only these
-// few bytes per task — not the task's whole local metadata — after the
-// task dies. The fields are atomic so Stats can be read live, mid-run,
-// by Session.Snapshot; each counter is written only by the owning
-// task's goroutine, so the adds are uncontended.
-type filterCounters struct {
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
 // localSpace is a task's local metadata, kept in Task.Local. Besides the
 // per-location entries it holds a task-private front cache for Par
 // results (entries: 1 = serial, 2 = parallel), created only in the
@@ -316,24 +229,12 @@ type filterCounters struct {
 // repeats without touching the shared cache. In label mode a query is
 // cheaper than the map hit, so no front cache is kept. rep is the task's
 // private violation buffer, created on its first report.
-//
-// cache is the redundant-access filter, allocated lazily when the
-// warm-up window shows a cache-sized working set (nil while warming up,
-// retired, or disabled), with ctr its counters, accs the warm-up
-// progress, and reuse the probe matches that fell through to dispatch —
-// retirement weighs reuse+hits against the access total, so the hit
-// return path bumps a single counter.
 type localSpace struct {
-	cache  *filterCache
-	ctr    *filterCounters
-	fstate int8
-	accs   int32
-	reuse  int64
-	m      locTable
-	par    map[uint64]int8
-	rep    *reportBuffer
-	chunk  []localEntry
-	used   int
+	m     locTable
+	par   map[uint64]int8
+	rep   *reportBuffer
+	chunk []localEntry
+	used  int
 
 	// lockChunk bump-allocates the lockset copies stored in local
 	// entries, and inter is the reusable scratch for lockset
@@ -408,25 +309,17 @@ func (ls *localSpace) intersect(a, b []uint64) []uint64 {
 
 // Optimized is the paper's fixed-metadata atomicity checker.
 type Optimized struct {
-	q        *dpst.Query
-	rep      *Reporter
-	strict   bool
-	noFilter bool
-	mem      shadow[optCell]
-
-	// counters tracks every task's filter counters; registration happens
-	// once per task, so the lock is cold, and only the counters — not
-	// the task's local metadata — outlive the task.
-	countersMu sync.Mutex
-	counters   []*filterCounters
+	q      *dpst.Query
+	rep    *Reporter
+	strict bool
+	mem    shadow[optCell]
 }
 
 func newOptimized(opts Options) *Optimized {
 	c := &Optimized{
-		q:        opts.Query,
-		rep:      opts.Reporter,
-		strict:   opts.StrictLockChecks,
-		noFilter: opts.DisableAccessFilter,
+		q:      opts.Query,
+		rep:    opts.Reporter,
+		strict: opts.StrictLockChecks,
 	}
 	c.mem.initC = initOptCell
 	c.mem.setGate(opts.Gate)
@@ -438,14 +331,7 @@ func (c *Optimized) Reporter() *Reporter { return c.rep }
 
 // Stats implements Checker.
 func (c *Optimized) Stats() Stats {
-	st := Stats{Locations: c.mem.count.Load()}
-	c.countersMu.Lock()
-	for _, ctr := range c.counters {
-		st.FilterHits += ctr.hits.Load()
-		st.FilterMisses += ctr.misses.Load()
-	}
-	c.countersMu.Unlock()
-	return st
+	return Stats{Locations: c.mem.count.Load()}
 }
 
 // OnAcquire implements sched.Monitor; lockset maintenance lives in the
@@ -455,18 +341,8 @@ func (c *Optimized) OnAcquire(*sched.Task, *sched.Mutex) {}
 // OnRelease implements sched.Monitor.
 func (c *Optimized) OnRelease(*sched.Task, *sched.Mutex) {}
 
-// space returns the task's local metadata space, creating it on the
-// task's first instrumented access.
-func (c *Optimized) space(ts TaskState) *localSpace {
-	slot := ts.LocalSlot()
-	if sp, ok := (*slot).(*localSpace); ok {
-		return sp
-	}
-	return c.newSpace(slot)
-}
-
-// newSpace creates a task's local space (the slow path of space, kept
-// out of the Access hot path's inlining footprint).
+// newSpace creates a task's local space on its first instrumented
+// access (the slow path of Access, kept out of its inlining footprint).
 func (c *Optimized) newSpace(slot *any) *localSpace {
 	sp := c.makeSpace()
 	*slot = sp
@@ -478,29 +354,10 @@ func (c *Optimized) newSpace(slot *any) *localSpace {
 func (c *Optimized) makeSpace() *localSpace {
 	sp := &localSpace{}
 	sp.m.init()
-	if c.noFilter {
-		sp.fstate = filterOff
-	}
 	if c.q.Caching() {
 		sp.par = make(map[uint64]int8)
 	}
 	return sp
-}
-
-// registerCounters adds one task's filter counters to the checker-wide
-// registry summed by Stats. Called once per task (cold).
-func (c *Optimized) registerCounters(ctr *filterCounters) {
-	c.countersMu.Lock()
-	c.counters = append(c.counters, ctr)
-	c.countersMu.Unlock()
-}
-
-// enableFilter ends a task's warm-up: it allocates the filter cache and
-// registers the task's counters with the checker.
-func (c *Optimized) enableFilter(sp *localSpace) {
-	sp.cache = new(filterCache)
-	sp.ctr = &filterCounters{}
-	c.registerCounters(sp.ctr)
 }
 
 // newEntry creates the task's local entry for loc, resolving the
@@ -682,7 +539,7 @@ func (c *Optimized) updateSingle(sp *localSpace, cell *optCell, a, b int, si dps
 		// strict-mode re-offer refreshing the lockset keeps the step's
 		// original install tick, so the observed/inferred classification
 		// is independent of how often the offer is repeated (and of the
-		// redundant-access filter suppressing those repeats).
+		// batch deduplicator suppressing those repeats).
 		cell.singleTick[idx] = cell.tick
 	}
 	cell.single[idx] = si
@@ -722,117 +579,21 @@ func (c *Optimized) OnAccess(t *sched.Task, loc sched.Loc, write bool) {
 	c.Access(t, loc, write)
 }
 
-// Access checks one access with the dispatch of Figure 6, fronted by
-// the redundant-access filter: a one-load epoch check skips accesses
-// that are provably re-runs of an access already dispatched by the same
-// step under an identical lockset, and the direct-mapped cache resolves
-// the local entry without the map probe on repeat locations.
+// Access checks one access with the dispatch of Figure 6: it resolves
+// the task's local entry for loc (created on the step's first touch) and
+// hands it to dispatchEntry, whose offer-once flags answer lock-free
+// repeats without taking the cell lock.
 func (c *Optimized) Access(ts TaskState, loc sched.Loc, write bool) {
-	slot, si, ver, locks := ts.AccessState()
+	slot, si, locks := ts.AccessState()
 	sp, ok := (*slot).(*localSpace)
 	if !ok {
 		sp = c.newSpace(slot)
 	}
-	var fe *filterEntry
-	var ls *localEntry
-	if cache := sp.cache; cache != nil {
-		fe = &cache[uint64(loc)&filterCacheMask]
-		if fe.loc == loc {
-			if fe.ver == ver {
-				bit := filtR
-				if write {
-					bit = filtW
-				}
-				if fe.bits&bit != 0 {
-					sp.ctr.hits.Add(1)
-					return
-				}
-			}
-			sp.reuse++
-			fe.hot = 1
-			ls = fe.e
-		} else if fe.hot != 0 {
-			// The incumbent has served a repeat: give it a second chance
-			// and run this access unfiltered.
-			fe.hot = 0
-			fe = nil
-		}
-	} else if sp.fstate == filterWarming {
-		// Warm-up: a window's worth of accesses over at most a cache's
-		// worth of distinct locations means the working set fits.
-		if sp.accs++; sp.accs >= filterWarmup {
-			if sp.m.n <= filterCacheSize {
-				c.enableFilter(sp)
-			} else {
-				sp.fstate = filterOff
-			}
-		}
-	}
+	ls := sp.m.get(loc)
 	if ls == nil {
-		if ls = sp.m.get(loc); ls == nil {
-			ls = c.newEntry(sp, loc)
-		}
-		if fe != nil {
-			fe.loc, fe.e, fe.ver, fe.bits, fe.hot = loc, ls, ver, 0, 0
-		}
+		ls = c.newEntry(sp, loc)
 	}
-	localRead, localWrite, outcome := c.dispatchEntry(sp, ls, loc, si, locks, write)
-	switch outcome {
-	case dispatchDenied:
-		return
-	case dispatchSkipped:
-		// A fast-path skip also primes the filter word so the next repeat
-		// is answered by the epoch check alone.
-		if sp.cache != nil {
-			sp.ctr.hits.Add(1)
-			if fe != nil {
-				if fe.ver != ver {
-					fe.ver, fe.bits = ver, 0
-				}
-				if write {
-					fe.bits |= filtW
-				} else {
-					fe.bits |= filtR
-				}
-			}
-		}
-		return
-	}
-	if sp.cache != nil {
-		sp.ctr.misses.Add(1)
-		hits := sp.ctr.hits.Load()
-		if t := hits + sp.ctr.misses.Load(); (t == filterProbeFirst ||
-			t&(filterProbeWindow-1) == 0) && sp.reuse+hits < t/filterProbeRatio {
-			// No reuse in this task's mix after all: retire the filter
-			// for good (fstate blocks re-entry into warm-up).
-			sp.cache, sp.fstate = nil, filterOff
-		}
-	}
-	if fe == nil {
-		return
-	}
-	// Update the redundancy word. A bit is set only when the access ran
-	// as a repeat of its own type (localRead/localWrite at entry): only
-	// then has every pattern kind the step can currently form been
-	// offered. A first write invalidates read redundancy (the next read
-	// newly forms a WR pattern) and a first read invalidates write
-	// redundancy (RW), so the enabling access always dispatches fully.
-	if fe.ver != ver {
-		fe.ver, fe.bits = ver, 0
-	}
-	if write {
-		if localWrite {
-			fe.bits |= filtW
-		} else {
-			fe.bits &^= filtR
-		}
-	} else {
-		if localRead {
-			fe.bits |= filtR
-		} else {
-			fe.bits &^= filtW
-		}
-	}
+	c.dispatchEntry(sp, ls, loc, si, locks, write)
 }
 
 // dispatchEntry outcomes.
@@ -849,37 +610,32 @@ const (
 // dispatchEntry runs the core of one access — the offer-once fast path
 // and the Figure 6 dispatch — against an already resolved local entry,
 // with the caller supplying the step node and lockset. It is shared by
-// the per-access path (Access, which layers the redundant-access filter
-// on top) and by the batched dispatcher (which replays a step's
-// coalesced accesses under the batch's captured state). localRead and
-// localWrite report whether the access was a repeat of its own type at
-// entry — the fact the filter word and the batch deduplicator key on.
-func (c *Optimized) dispatchEntry(sp *localSpace, ls *localEntry, loc sched.Loc, si dpst.NodeID, locks []uint64, write bool) (localRead, localWrite bool, outcome int) {
+// the per-access path (Access) and by the batched dispatcher (which
+// replays a step's coalesced accesses under the batch's captured state).
+func (c *Optimized) dispatchEntry(sp *localSpace, ls *localEntry, loc sched.Loc, si dpst.NodeID, locks []uint64, write bool) int {
 	cell := ls.cell
 	if cell == nil {
 		// The gate refused this location's metadata: the location is not
 		// part of the analysis (graceful degradation). The nil cell is
 		// cached in the local entry, so the refusal costs one shadow
 		// lookup per task, not per access.
-		return false, false, dispatchDenied
+		return dispatchDenied
 	}
 
-	localRead = ls.readStep == si
-	localWrite = ls.writeStep == si
+	localRead := ls.readStep == si
+	localWrite := ls.writeStep == si
 	// Offer-once fast path: a lock-free repeat whose offers and checks
-	// have all happened is a no-op (see the flag documentation). It
-	// backstops the filter on cache collisions and when the filter is
-	// disabled.
+	// have all happened is a no-op (see the flag documentation).
 	if len(locks) == 0 {
 		if write {
 			if localWrite && ls.flags&fW != 0 && ls.flags&fWW != 0 &&
 				(!localRead || ls.flags&fRW != 0) {
-				return localRead, localWrite, dispatchSkipped
+				return dispatchSkipped
 			}
 		} else {
 			if localRead && ls.flags&fR != 0 && ls.flags&fRR != 0 &&
 				(!localWrite || ls.flags&fWR != 0) {
-				return localRead, localWrite, dispatchSkipped
+				return dispatchSkipped
 			}
 		}
 	}
@@ -897,7 +653,7 @@ func (c *Optimized) dispatchEntry(sp *localSpace, ls *localEntry, loc sched.Loc,
 		c.handleNonFirstAccess(sp, loc, cell, ls, si, write, locks, localRead, localWrite)
 	}
 	cell.mu.unlock()
-	return localRead, localWrite, dispatchRan
+	return dispatchRan
 }
 
 // setLocalRead records the step's first read in the local space,

@@ -37,27 +37,18 @@ func Prototype(workers int) Config {
 	return Config{Name: "our-prototype", Opts: avd.Options{Workers: workers}}
 }
 
-// PrototypeFilter is the full fast configuration: path-label MHP plus
-// the redundant-access filter (the shipping default, under its explicit
-// Figure 13 column name).
-func PrototypeFilter(workers int) Config {
-	return Config{Name: "avd-filter", Opts: avd.Options{Workers: workers, MHP: avd.MHPLabels}}
-}
-
 // PrototypeBatch is the step-granular batching configuration: the
-// filtered label-MHP checker behind the per-task access coalescer,
-// which buffers each step's accesses and dispatches them in one pass
-// per batch — epoch, lockset, and filter state read once per flush
-// instead of once per access.
+// label-MHP checker behind the per-task access coalescer, which buffers
+// each step's accesses and dispatches them in one pass per batch — step
+// node and lockset read once per flush instead of once per access.
 func PrototypeBatch(workers int) Config {
 	return Config{Name: "avd-batch", Opts: avd.Options{Workers: workers, MHP: avd.MHPLabels, Batch: true}}
 }
 
-// PrototypeLabels is the label-MHP configuration with the
-// redundant-access filter disabled — the PR 1 baseline, kept as the
-// filter ablation column.
+// PrototypeLabels is the default configuration (label MHP, per-access
+// dispatch) under its Figure 13 column name.
 func PrototypeLabels(workers int) Config {
-	return Config{Name: "avd-labels", Opts: avd.Options{Workers: workers, MHP: avd.MHPLabels, DisableAccessFilter: true}}
+	return Config{Name: "avd-labels", Opts: avd.Options{Workers: workers}}
 }
 
 // PrototypeCachedLCA is the paper's Section 4 configuration — the LCA
@@ -74,16 +65,16 @@ func PrototypeLinked(workers int) Config {
 	return Config{Name: "linked-DPST", Opts: avd.Options{Workers: workers, Layout: avd.LayoutLinked, MHP: avd.MHPCachedWalk}}
 }
 
-// PrototypeNoCache variants disable LCA memoization so every Par query
+// PrototypeNoCache variants use the uncached walk so every Par query
 // walks the tree, isolating the DPST layout cost that Figure 14
 // measures.
 func PrototypeNoCache(workers int) Config {
-	return Config{Name: "array-nocache", Opts: avd.Options{Workers: workers, DisableLCACache: true}}
+	return Config{Name: "array-nocache", Opts: avd.Options{Workers: workers, MHP: avd.MHPWalk}}
 }
 
 // PrototypeLinkedNoCache is the uncached linked-layout configuration.
 func PrototypeLinkedNoCache(workers int) Config {
-	return Config{Name: "linked-nocache", Opts: avd.Options{Workers: workers, Layout: avd.LayoutLinked, DisableLCACache: true}}
+	return Config{Name: "linked-nocache", Opts: avd.Options{Workers: workers, Layout: avd.LayoutLinked, MHP: avd.MHPWalk}}
 }
 
 // Velodrome is the comparison checker of Figure 13.
@@ -395,9 +386,9 @@ type FigureResult struct {
 	N        int     `json:"n"`
 	WallNS   int64   `json:"wall_ns"`
 	Slowdown float64 `json:"slowdown"`
-	// FilterHits/FilterMisses are the redundant-access filter counters
-	// of the measured run (omitted for configurations without the
-	// filter), and FilterHitRate is hits/(hits+misses) precomputed for
+	// FilterHits/FilterMisses are the batch deduplicator's counters of
+	// the measured run (omitted for unbatched configurations, where they
+	// read zero), and FilterHitRate is hits/(hits+misses) precomputed for
 	// cross-revision diffing.
 	FilterHits    int64   `json:"filter_hits,omitempty"`
 	FilterMisses  int64   `json:"filter_misses,omitempty"`
@@ -563,15 +554,13 @@ func RenderFigure(w io.Writer, title string, d *FigureData) {
 	fmt.Fprintln(w)
 }
 
-// Figure13Data measures the filtered prototype, the batched coalescer,
-// the no-filter and cached-walk ablations, and Velodrome against the
-// baseline. An optional kernel list restricts the sweep (see
-// figureData).
+// Figure13Data measures the default prototype, the batched coalescer,
+// the cached-walk ablation, and Velodrome against the baseline. An
+// optional kernel list restricts the sweep (see figureData).
 func Figure13Data(workers int, scale float64, reps int, kernels ...string) (*FigureData, error) {
 	return figureData(13, []Config{
-		PrototypeFilter(workers),
-		PrototypeBatch(workers),
 		PrototypeLabels(workers),
+		PrototypeBatch(workers),
 		PrototypeCachedLCA(workers),
 		Velodrome(workers),
 	}, workers, scale, reps, kernels...)

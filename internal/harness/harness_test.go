@@ -111,10 +111,10 @@ func TestConfigConstructors(t *testing.T) {
 	if PrototypeLinked(2).Opts.MHP != avd.MHPCachedWalk {
 		t.Error("linked config must force the walk so layout matters")
 	}
-	if !PrototypeNoCache(2).Opts.DisableLCACache || !PrototypeLinkedNoCache(2).Opts.DisableLCACache {
+	if PrototypeNoCache(2).Opts.MHP != avd.MHPWalk || PrototypeLinkedNoCache(2).Opts.MHP != avd.MHPWalk {
 		t.Error("nocache configs must disable the LCA cache")
 	}
-	if PrototypeLabels(2).Opts.MHP != avd.MHPLabels || PrototypeLabels(2).Name != "avd-labels" {
+	if PrototypeLabels(2).Opts != (avd.Options{Workers: 2}) || PrototypeLabels(2).Name != "avd-labels" {
 		t.Error("labels config wrong")
 	}
 	if PrototypeCachedLCA(2).Opts.MHP != avd.MHPCachedWalk || PrototypeCachedLCA(2).Name != "avd-array" {

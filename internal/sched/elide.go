@@ -29,8 +29,8 @@ const (
 )
 
 // Saturation bits of an elide entry. The numeric values deliberately
-// equal the checker's filter-word bits (filtR/filtW), so the checker
-// can mirror its redundancy word into Set verbatim.
+// equal the batch deduplicator's redundancy-word bits (filtR/filtW), so
+// the checker can mirror its redundancy word into Set verbatim.
 const (
 	// ElideR marks reads of the location saturated in this window.
 	ElideR uint8 = 1 << iota

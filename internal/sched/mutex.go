@@ -64,7 +64,6 @@ func (m *Mutex) Lock(t *Task) {
 	tok := MakeLockToken(m.id, t.sch.lockTok.Add(1))
 	t.locks = append(t.locks, tok)
 	t.lockRefs = append(t.lockRefs, m)
-	t.lockVer++
 	if mon := t.sch.mon; mon != nil {
 		mon.OnAcquire(t, m)
 	}
@@ -83,7 +82,6 @@ func (m *Mutex) Unlock(t *Task) {
 		if t.lockRefs[i] == m {
 			t.locks = append(t.locks[:i], t.locks[i+1:]...)
 			t.lockRefs = append(t.lockRefs[:i], t.lockRefs[i+1:]...)
-			t.lockVer++
 			m.mu.Unlock()
 			return
 		}

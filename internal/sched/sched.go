@@ -178,10 +178,9 @@ func (s *Scheduler) AllocLocs(n int) Loc {
 
 // AllocLocsStriped allocates n consecutive location identifiers whose
 // base is padded onto a per-aggregate phase of the ElideSize-slot
-// direct-mapped caches (the access filter, the batch deduplicator, and
-// the window-elision cache all index by loc&ElideMask). Without the
-// padding, two arrays whose lengths are multiples of the cache size —
-// the power-of-two source and destination of a merge, say — land on the
+// direct-mapped caches (the batch deduplicator and the window-elision
+// cache both index by loc&ElideMask). Without the padding, two arrays
+// whose lengths are multiples of the cache size — the power-of-two source and destination of a merge, say — land on the
 // same phase, so a[i] and b[i] collide in every direct-mapped slot for
 // every i and evict each other's redundancy facts all window long. The
 // phase schedule is deterministic (the k-th striped allocation of a

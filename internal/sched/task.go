@@ -59,13 +59,6 @@ type Task struct {
 	locks    []uint64 // acquisition tokens of currently held locks
 	lockRefs []*Mutex // parallel stack of the held mutexes
 
-	// stepEpoch counts step-region transitions and lockVer lockset
-	// changes; together they version the checker's redundant-access
-	// filter (see FilterEpoch). Both only ever grow, and only from the
-	// task's own goroutine.
-	stepEpoch uint64
-	lockVer   uint64
-
 	// Cilk-style spawn/sync state: the implicit finish scope opened by
 	// the first CilkSpawn after a Sync, and the context to restore.
 	cilk           *finishScope
@@ -120,34 +113,20 @@ func (t *Task) StepNode() dpst.NodeID {
 	return t.step
 }
 
-// newStepRegion invalidates the current step node and advances the
-// step epoch: the next instrumented access belongs to a fresh step, so
-// per-step redundancy state cached against the old epoch must die.
+// newStepRegion invalidates the current step node: the next
+// instrumented access belongs to a fresh step.
 func (t *Task) newStepRegion() {
 	t.step = dpst.None
-	t.stepEpoch++
 }
 
-// FilterEpoch returns a version word identifying the current
-// (step region, lockset) regime of the task. The word changes whenever
-// the task transitions to a new step node or acquires or releases a
-// lock, so a redundancy fact recorded under one epoch is provably about
-// the same step and an identical lockset when the epoch still matches.
-// The step epoch occupies the high 32 bits and the lockset version the
-// low 32; a collision would need 2^32 lock operations inside a single
-// step region, which the shadow state cannot survive anyway.
-func (t *Task) FilterEpoch() uint64 {
-	return t.stepEpoch<<32 | t.lockVer&(1<<32-1)
-}
-
-// AccessState bundles LocalSlot, StepNode, FilterEpoch, and Lockset
-// into a single call, so the checker's per-access hot path pays one
-// indirect call instead of four.
-func (t *Task) AccessState() (*any, dpst.NodeID, uint64, []uint64) {
+// AccessState bundles LocalSlot, StepNode, and Lockset into a single
+// call, so the checker's per-access hot path pays one indirect call
+// instead of three.
+func (t *Task) AccessState() (*any, dpst.NodeID, []uint64) {
 	if t.step == dpst.None && t.sch.tree != nil {
 		t.step = t.sch.tree.NewNode(t.parentNode, dpst.Step, t.id)
 	}
-	return &t.Local, t.step, t.stepEpoch<<32 | t.lockVer&(1<<32-1), t.locks
+	return &t.Local, t.step, t.locks
 }
 
 // Lockset returns the acquisition tokens of the locks currently held by

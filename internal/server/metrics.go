@@ -56,8 +56,8 @@ func (s *Service) buildRegistry() *obs.Registry {
 	r.Counter("avd_analysis_drops_total", "Analysis work shed under memory budgets and caps.", m.anDrops.Load)
 	r.Counter("avd_analysis_task_panics_total", "Recovered task panics across executed runs.", m.anTaskPanics.Load)
 	r.Counter("avd_analysis_locations_total", "Unique instrumented locations across executed runs.", m.anLocations.Load)
-	r.Counter("avd_analysis_filter_hits_total", "Accesses skipped by the redundant-access filter.", m.anFilterHits.Load)
-	r.Counter("avd_analysis_filter_misses_total", "Accesses that fell through to full checker dispatch.", m.anFilterMisses.Load)
+	r.Counter("avd_analysis_filter_hits_total", "Accesses the batch deduplicator skipped (0 unless runs use Batch).", m.anFilterHits.Load)
+	r.Counter("avd_analysis_filter_misses_total", "Batched accesses that ran the full checker dispatch (0 unless runs use Batch).", m.anFilterMisses.Load)
 	r.Counter("avd_analysis_batch_flushes_total", "Per-task access batches drained.", m.anBatchFlushes.Load)
 	r.Counter("avd_analysis_batched_accesses_total", "Accesses dispatched through batches.", m.anBatchedAccesses.Load)
 	r.Counter("avd_analysis_window_elisions_total", "Accesses answered by the window-saturation cache.", m.anWindowElisions.Load)

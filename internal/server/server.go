@@ -456,6 +456,11 @@ func (s *Service) AdmitLint(tr *avd.Trace, body []byte, opts RunOptions, lint []
 		hub:     s.newHub(),
 		lint:    lint,
 	}
+	// The SUBMITTED frame goes out before the run is queued: once it is
+	// on the shard channel a worker may publish RUNNING at any moment.
+	// The hub has no subscriber yet, so a rejected run's frame is simply
+	// dropped with it.
+	run.hub.publish(StreamEvent{Kind: EventState, Status: StatusSubmitted})
 	// Enqueue under the registry lock so drain's queue close cannot race
 	// the send; the channel send is non-blocking either way.
 	select {
@@ -474,7 +479,6 @@ func (s *Service) AdmitLint(tr *avd.Trace, body []byte, opts RunOptions, lint []
 	}
 	s.metrics.queued.Add(1)
 	s.metrics.perShardQueued[shard].Add(1)
-	run.hub.publish(StreamEvent{Kind: EventState, Status: StatusSubmitted})
 	return run, nil
 }
 

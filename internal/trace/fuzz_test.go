@@ -48,6 +48,9 @@ func seedTraces(t testing.TB) [][]byte {
 		[]byte(`{"tasks":1073741824,"events":[]}`), // absurd count: must not allocate gigabytes
 		[]byte(`{"tasks":2,"events":[{"k":0,"t":0,"c":7}]}`),
 		[]byte(`not json at all`),
+		// Accesses without "l" decode to location 0, the checkers'
+		// empty-slot marker: must be refused, not replayed.
+		[]byte(`{"tasks":3,"events":[{"k":1,"t":0},{"k":0,"t":0,"c":1},{"k":0,"t":0,"c":2},{"k":3,"t":1},{"k":3,"t":2,"w":true},{"k":3,"t":1,"w":true},{"k":6,"t":1},{"k":6,"t":2},{"k":2,"t":0}]}`),
 	)
 	return out
 }

@@ -109,8 +109,8 @@ func (c *Compiled) Schedule(r *rand.Rand) (*Trace, error) {
 // child executes to completion before its parent resumes — the schedule
 // of a one-worker execution. Each step's accesses are contiguous in the
 // resulting trace (a task is never preempted mid-step), which is the
-// precondition for the redundant-access filter's exact-report
-// differential test.
+// precondition for the batch and elision exact-report differential
+// tests.
 func (c *Compiled) ScheduleSerial() (*Trace, error) {
 	return c.schedule(func(ready []int) int { return ready[len(ready)-1] })
 }

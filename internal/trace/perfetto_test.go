@@ -21,17 +21,17 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // the export uses deterministic logical time.
 func perfettoTrace() *trace.Trace {
 	return &trace.Trace{Tasks: 3, Events: []trace.Event{
-		{Kind: trace.KAccess, Task: 0, Loc: 0, Write: true},
+		{Kind: trace.KAccess, Task: 0, Loc: 1, Write: true},
 		{Kind: trace.KFinishBegin, Task: 0},
 		{Kind: trace.KSpawn, Task: 0, Child: 1},
 		{Kind: trace.KInject, Task: 1, Fault: 1},
-		{Kind: trace.KAccess, Task: 1, Loc: 0, Write: false},
+		{Kind: trace.KAccess, Task: 1, Loc: 1, Write: false},
 		{Kind: trace.KSpawn, Task: 0, Child: 2},
 		{Kind: trace.KAcquire, Task: 2, Lock: 1},
-		{Kind: trace.KAccess, Task: 2, Loc: 0, Write: true},
+		{Kind: trace.KAccess, Task: 2, Loc: 1, Write: true},
 		{Kind: trace.KRelease, Task: 2, Lock: 1},
 		{Kind: trace.KTaskEnd, Task: 2},
-		{Kind: trace.KAccess, Task: 1, Loc: 0, Write: true},
+		{Kind: trace.KAccess, Task: 1, Loc: 1, Write: true},
 		{Kind: trace.KTaskEnd, Task: 1},
 		{Kind: trace.KFinishEnd, Task: 0},
 		{Kind: trace.KTaskEnd, Task: 0},

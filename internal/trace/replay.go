@@ -64,12 +64,6 @@ type replayTask struct {
 	lockIDs []uint32
 	local   any
 
-	// stepEpoch and lockVer mirror the live runtime's filter-epoch
-	// bookkeeping (see sched.Task.FilterEpoch): step transitions and
-	// lock operations each advance the epoch word.
-	stepEpoch uint64
-	lockVer   uint64
-
 	// elide is the window-elision cache a batched sink installs through
 	// ElideSlot, mirroring the live runtime's handle layer: the replayer
 	// runs the same front end, so recorded and live runs of one program
@@ -77,10 +71,9 @@ type replayTask struct {
 	elide *sched.Elide
 }
 
-// newStepRegion invalidates the current step and advances the epoch.
+// newStepRegion invalidates the current step.
 func (t *replayTask) newStepRegion() {
 	t.step = dpst.None
-	t.stepEpoch++
 }
 
 // StepNode implements checker.TaskState.
@@ -100,14 +93,9 @@ func (t *replayTask) LocalSlot() *any { return &t.local }
 // ElideSlot implements checker.ElideHost.
 func (t *replayTask) ElideSlot() **sched.Elide { return &t.elide }
 
-// FilterEpoch implements checker.TaskState.
-func (t *replayTask) FilterEpoch() uint64 {
-	return t.stepEpoch<<32 | t.lockVer&(1<<32-1)
-}
-
 // AccessState implements checker.TaskState.
-func (t *replayTask) AccessState() (*any, dpst.NodeID, uint64, []uint64) {
-	return &t.local, t.StepNode(), t.FilterEpoch(), t.locks
+func (t *replayTask) AccessState() (*any, dpst.NodeID, []uint64) {
+	return &t.local, t.StepNode(), t.locks
 }
 
 // Replay drives sink (and lockSink, if non-nil) with the events of tr,
@@ -194,7 +182,6 @@ func ReplayContext(ctx context.Context, tr *Trace, tree dpst.Tree, sink Sink, lo
 			acq++
 			t.locks = append(t.locks, sched.MakeLockToken(e.Lock, acq))
 			t.lockIDs = append(t.lockIDs, e.Lock)
-			t.lockVer++
 			if lockSink != nil {
 				lockSink.Acquire(t, LockLoc(e.Lock))
 			}
@@ -210,7 +197,6 @@ func ReplayContext(ctx context.Context, tr *Trace, tree dpst.Tree, sink Sink, lo
 				if t.lockIDs[j] == e.Lock {
 					t.locks = append(t.locks[:j], t.locks[j+1:]...)
 					t.lockIDs = append(t.lockIDs[:j], t.lockIDs[j+1:]...)
-					t.lockVer++
 					found = true
 					break
 				}

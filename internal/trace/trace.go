@@ -116,6 +116,12 @@ var ErrTooLarge = errors.New("trace: encoded trace exceeds size limit")
 // upload or a cut-off file).
 var ErrTruncated = errors.New("trace: truncated input")
 
+// ErrBadLocation reports an access to a location outside the range
+// [1, LockLocBase): location 0 is the checkers' empty-slot marker (and
+// what an access whose JSON omits "l" decodes to), and locations from
+// LockLocBase up alias the lock locations of Velodrome replay.
+var ErrBadLocation = errors.New("trace: access to an invalid location")
+
 // Decode reads a JSON trace from r.
 func Decode(r io.Reader) (*Trace, error) {
 	return DecodeLimited(r, 0)
@@ -162,7 +168,8 @@ func DecodeLimited(r io.Reader, maxBytes int64) (*Trace, error) {
 }
 
 // Validate performs structural sanity checks: tasks spawned before use,
-// finish scopes balanced, locks released by their holder. The bounds on
+// finish scopes balanced, locks released by their holder, accessed
+// locations in range (ErrBadLocation). The bounds on
 // Tasks are checked before any allocation sized by it, so a corrupt or
 // hostile trace (negative task count, or a count absurdly larger than
 // the event stream could introduce) fails cleanly instead of panicking
@@ -207,7 +214,11 @@ func (tr *Trace) Validate() error {
 				return fmt.Errorf("trace: event %d: lock %d not held by task %d", i, e.Lock, e.Task)
 			}
 			delete(holder, e.Lock)
-		case KAccess, KTaskEnd, KInject:
+		case KAccess:
+			if e.Loc == 0 || e.Loc >= LockLocBase {
+				return fmt.Errorf("trace: event %d: %w (loc %d)", i, ErrBadLocation, e.Loc)
+			}
+		case KTaskEnd, KInject:
 		default:
 			return fmt.Errorf("trace: event %d: unknown kind %d", i, e.Kind)
 		}

@@ -18,10 +18,9 @@ type fakeTask struct {
 func (f *fakeTask) StepNode() dpst.NodeID { return f.step }
 func (f *fakeTask) Lockset() []uint64     { return nil }
 func (f *fakeTask) LocalSlot() *any       { return &f.local }
-func (f *fakeTask) FilterEpoch() uint64   { return uint64(f.step) }
 
-func (f *fakeTask) AccessState() (*any, dpst.NodeID, uint64, []uint64) {
-	return &f.local, f.step, uint64(f.step), nil
+func (f *fakeTask) AccessState() (*any, dpst.NodeID, []uint64) {
+	return &f.local, f.step, nil
 }
 
 func figure2() (tree dpst.Tree, s11, s12, s2, s3 dpst.NodeID) {

@@ -1,6 +1,7 @@
 package avd_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	avd "github.com/taskpar/avd"
 	"github.com/taskpar/avd/internal/chaos"
 	"github.com/taskpar/avd/internal/sptest"
+	"github.com/taskpar/avd/internal/trace"
 )
 
 // sameLocs compares two violating-location sets.
@@ -415,5 +417,42 @@ func TestBoundedHarnessConfigs(t *testing.T) {
 			t.Fatalf("opts %+v: the textbook violation went undetected", opts)
 		}
 		s.Close()
+	}
+}
+
+// locationZeroUpload is a Figure 1-shaped upload whose accesses omit
+// "l", so every access decodes to location 0 — the checkers' empty-slot
+// marker.
+const locationZeroUpload = `{"tasks":3,"events":[{"k":1,"t":0},{"k":0,"t":0,"c":1},{"k":0,"t":0,"c":2},` +
+	`{"k":3,"t":1},{"k":3,"t":2,"w":true},{"k":3,"t":1,"w":true},{"k":6,"t":1},{"k":6,"t":2},{"k":2,"t":0}]}`
+
+// TestLocationZero pins that accesses outside [1, LockLocBase) are
+// refused with a typed error at decode and at replay, on both dispatch
+// paths, instead of aliasing an empty slot (or crashing the coalescer),
+// while lock 0 and critical section 0 stay valid.
+func TestLocationZero(t *testing.T) {
+	if _, err := trace.Decode(strings.NewReader(locationZeroUpload)); !errors.Is(err, trace.ErrBadLocation) {
+		t.Fatalf("decode of an access without a location: err %v, want ErrBadLocation", err)
+	}
+	for _, loc := range []avd.Loc{0, trace.LockLocBase, trace.LockLocBase + 7} {
+		tr := &avd.Trace{Tasks: 1, Events: []trace.Event{
+			{Kind: trace.KAccess, Task: 0, Loc: 1, Write: true},
+			{Kind: trace.KAccess, Task: 0, Loc: loc},
+			{Kind: trace.KTaskEnd, Task: 0},
+		}}
+		for _, opts := range []avd.Options{{}, {Batch: true}, {Checker: avd.CheckerVelodrome}} {
+			if _, err := avd.ReplayTrace(tr, opts); !errors.Is(err, trace.ErrBadLocation) {
+				t.Errorf("loc %d opts %+v: replay err %v, want ErrBadLocation", loc, opts, err)
+			}
+		}
+	}
+	ok := &avd.Trace{Tasks: 1, Events: []trace.Event{
+		{Kind: trace.KAcquire, Task: 0, Lock: 0, CS: 0},
+		{Kind: trace.KAccess, Task: 0, Loc: trace.LockLocBase - 1, Write: true},
+		{Kind: trace.KRelease, Task: 0, Lock: 0, CS: 0},
+		{Kind: trace.KTaskEnd, Task: 0},
+	}}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("lock 0, CS 0 and the highest data location must stay valid: %v", err)
 	}
 }

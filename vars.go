@@ -172,7 +172,7 @@ type IntArray struct {
 // locations are index-striped: each array's base lands on a distinct
 // phase of the checker's direct-mapped caches, so equal indices of two
 // power-of-two arrays (a merge's source and destination frontier, say)
-// stop colliding in every filter, dedup, and window-elision slot.
+// stop colliding in every dedup and window-elision slot.
 func (s *Session) NewIntArray(name string, n int) *IntArray {
 	return &IntArray{loc0: s.sch.AllocLocsStriped(n), sch: s.sch, name: name, data: make([]atomic.Int64, n)}
 }
