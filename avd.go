@@ -41,7 +41,6 @@ import (
 	"github.com/taskpar/avd/internal/obs"
 	"github.com/taskpar/avd/internal/sched"
 	"github.com/taskpar/avd/internal/trace"
-	"github.com/taskpar/avd/internal/velodrome"
 )
 
 // Task is a dynamic task of the fork-join computation; see the sched
@@ -207,9 +206,9 @@ func (m MHPMode) String() string {
 	}
 }
 
-// Options configures a Session. The zero value is the paper's default
-// configuration: the optimized checker on an array DPST with LCA caching
-// and GOMAXPROCS workers.
+// Options configures a Session or a Replayer. The zero value is the
+// default configuration: the optimized checker on an array DPST,
+// answering MHP queries by path labels, with GOMAXPROCS workers.
 type Options struct {
 	// Workers is the worker-thread count; 0 means GOMAXPROCS.
 	Workers int
@@ -302,135 +301,28 @@ type ChaosConfig struct {
 	AllocFailProb float64
 }
 
-// plane builds the internal fault plane (nil when c is nil or all-zero).
-func (c *ChaosConfig) plane() *chaos.Plane {
-	if c == nil {
-		return nil
-	}
-	return chaos.New(chaos.Config{
-		Seed:          c.Seed,
-		StealProb:     c.StealProb,
-		DelayProb:     c.DelayProb,
-		MaxDelaySpins: c.MaxDelaySpins,
-		PanicProb:     c.PanicProb,
-		AllocFailProb: c.AllocFailProb,
-	})
-}
-
-// gate combines the chaos plane and memory budget of opts into an
-// allocation gate; nil when neither is configured.
-func (o Options) gate(plane *chaos.Plane) *chaos.Gate {
-	budget := chaos.NewBudget(o.MemoryBudget)
-	if plane == nil && budget == nil {
-		return nil
-	}
-	return &chaos.Gate{Plane: plane, Budget: budget}
-}
-
-// queryMode maps the public MHP knob onto the dpst query mode.
-func (o Options) queryMode() dpst.QueryMode {
-	switch o.MHP {
-	case MHPCachedWalk:
-		return dpst.ModeCachedWalk
-	case MHPWalk:
-		return dpst.ModeWalk
-	default:
-		return dpst.ModeLabels
-	}
-}
-
 // Session owns a runtime, an analysis, and the instrumented state
 // handles created through it.
 type Session struct {
-	sch   *sched.Scheduler
-	tree  dpst.Tree
-	q     *dpst.Query
-	chk   checker.Checker
-	velo  *velodrome.Checker
-	rec   *trace.Recorder
-	plane *chaos.Plane
-	gate  *chaos.Gate
-	hub   *obs.Hub
-}
-
-// setTreeGate attaches the allocation gate to a tree layout's label
-// arena; both layouts implement the optional interface.
-func setTreeGate(tree dpst.Tree, g *chaos.Gate) {
-	if g == nil {
-		return
-	}
-	if gt, ok := tree.(interface{ SetGate(*chaos.Gate) }); ok {
-		gt.SetGate(g)
-	}
+	engine
+	sch *sched.Scheduler
+	rec *trace.Recorder
 }
 
 // NewSession creates a session and starts its worker pool; Close it when
 // done.
 func NewSession(opts Options) *Session {
-	s := &Session{hub: &obs.Hub{}}
-	s.plane = opts.Chaos.plane()
-	s.gate = opts.gate(s.plane)
-	ob := opts.Observer
+	// The recorder tees off the same Monitor the checker serves, so a
+	// session that records must not elide: an access skipped in the
+	// handle layer would vanish from the trace.
+	opts.DisableWindowElision = opts.DisableWindowElision || opts.RecordTrace
+	s := &Session{engine: newEngine(opts)}
 	var mon sched.Monitor
-	switch opts.Checker {
-	case CheckerNone:
-		// No tree, no monitor.
-	case CheckerVelodrome:
-		s.tree = dpst.New(opts.Layout)
-		setTreeGate(s.tree, s.gate)
-		s.velo = velodrome.New()
-		mon = s.velo
-	default:
-		s.tree = dpst.New(opts.Layout)
-		setTreeGate(s.tree, s.gate)
-		s.q = dpst.NewQueryMode(s.tree, opts.queryMode())
-		s.q.SetGate(s.gate)
-		alg := checker.AlgOptimized
-		if opts.Checker == CheckerBasic {
-			alg = checker.AlgBasic
-		}
-		rep := checker.NewReporter(opts.ReporterLimit)
-		rep.SetMaxViolations(opts.MaxViolations)
-		s.chk = checker.New(checker.Options{
-			Algorithm:           alg,
-			Query:               s.q,
-			Reporter:            rep,
-			StrictLockChecks:    opts.StrictLockChecks,
-			DisableAccessFilter: opts.DisableAccessFilter,
-			Batch:               opts.Batch && alg == checker.AlgOptimized,
-			// The recorder tees off the same Monitor the checker serves, so
-			// a session that records must not elide: an access skipped in
-			// the handle layer would vanish from the trace.
-			DisableWindowElision: opts.DisableWindowElision || opts.RecordTrace,
-			Hub:                  s.hub,
-			Gate:                 s.gate,
-		})
+	switch {
+	case s.chk != nil:
 		mon = s.chk
-		// The reporter callbacks only fire on locally-new violations and
-		// cap refusals, never on the per-access fast path, so counting
-		// into the hub costs nothing when no violation is found.
-		rep.SetObserver(func(v Violation) {
-			s.hub.Note(obs.EventViolation, uint64(v.Loc))
-			if ob != nil && ob.OnViolation != nil {
-				ob.OnViolation(v)
-			}
-		})
-		rep.SetDropObserver(func() {
-			s.hub.Note(obs.EventDrop, 0)
-			s.saturate(ob)
-			if ob != nil && ob.OnDrop != nil {
-				ob.OnDrop(DropEvent{Kind: "violation"})
-			}
-		})
-	}
-	if s.gate != nil {
-		s.gate.SetDropObserver(func(site chaos.Site, n int64) {
-			s.hub.Note(obs.EventDrop, uint64(site))
-			s.saturate(ob)
-			if ob != nil && ob.OnDrop != nil {
-				ob.OnDrop(DropEvent{Kind: site.String(), Bytes: n})
-			}
-		})
+	case s.velo != nil:
+		mon = s.velo
 	}
 	if opts.RecordTrace {
 		s.rec = trace.NewRecorder()
@@ -440,6 +332,7 @@ func NewSession(opts Options) *Session {
 			mon = &teeMonitor{a: mon, b: s.rec}
 		}
 	}
+	ob := opts.Observer
 	s.sch = sched.New(sched.Options{
 		Workers:       opts.Workers,
 		Tree:          s.tree,
@@ -454,14 +347,6 @@ func NewSession(opts Options) *Session {
 		},
 	})
 	return s
-}
-
-// saturate latches session saturation on the first drop of any kind and
-// fires the observer's OnSaturation exactly once.
-func (s *Session) saturate(ob *Observer) {
-	if s.hub.LatchSaturation(0) && ob != nil && ob.OnSaturation != nil {
-		ob.OnSaturation()
-	}
 }
 
 // ChaosStats returns the fault counters of the session's chaos plane
@@ -578,14 +463,7 @@ func ReplayTraceContext(ctx context.Context, tr *Trace, opts Options) (Report, e
 // polls it to serve live per-run statistics. A Replayer analyzes one
 // trace: create a fresh one per replay.
 type Replayer struct {
-	opts   Options
-	tree   dpst.Tree
-	q      *dpst.Query
-	chk    checker.Checker
-	velo   *velodrome.Checker
-	plane  *chaos.Plane
-	gate   *chaos.Gate
-	hub    *obs.Hub
+	engine
 	used   bool
 	usedMu sync.Mutex
 }
@@ -593,70 +471,12 @@ type Replayer struct {
 // NewReplayer builds the offline analysis selected by opts without
 // running it. CheckerNone is rejected — there is nothing to replay into.
 func NewReplayer(opts Options) (*Replayer, error) {
-	r := &Replayer{opts: opts, hub: &obs.Hub{}}
-	r.tree = dpst.New(opts.Layout)
-	r.plane = opts.Chaos.plane()
-	r.gate = opts.gate(r.plane)
-	setTreeGate(r.tree, r.gate)
-	ob := opts.Observer
 	switch opts.Checker {
-	case CheckerVelodrome:
-		r.velo = velodrome.New()
-	case CheckerOptimized, CheckerBasic:
-		alg := checker.AlgOptimized
-		if opts.Checker == CheckerBasic {
-			alg = checker.AlgBasic
-		}
-		r.q = dpst.NewQueryMode(r.tree, opts.queryMode())
-		r.q.SetGate(r.gate)
-		rep := checker.NewReporter(opts.ReporterLimit)
-		rep.SetMaxViolations(opts.MaxViolations)
-		r.chk = checker.New(checker.Options{
-			Algorithm:            alg,
-			Query:                r.q,
-			Reporter:             rep,
-			StrictLockChecks:     opts.StrictLockChecks,
-			DisableAccessFilter:  opts.DisableAccessFilter,
-			Batch:                opts.Batch && alg == checker.AlgOptimized,
-			DisableWindowElision: opts.DisableWindowElision,
-			Hub:                  r.hub,
-			Gate:                 r.gate,
-		})
-		rep.SetObserver(func(v Violation) {
-			r.hub.Note(obs.EventViolation, uint64(v.Loc))
-			if ob != nil && ob.OnViolation != nil {
-				ob.OnViolation(v)
-			}
-		})
-		rep.SetDropObserver(func() {
-			r.hub.Note(obs.EventDrop, 0)
-			r.saturate(ob)
-			if ob != nil && ob.OnDrop != nil {
-				ob.OnDrop(DropEvent{Kind: "violation"})
-			}
-		})
+	case CheckerOptimized, CheckerBasic, CheckerVelodrome:
 	default:
 		return nil, fmt.Errorf("avd: ReplayTrace requires an analyzing checker, got %v", opts.Checker)
 	}
-	if r.gate != nil {
-		r.gate.SetDropObserver(func(site chaos.Site, n int64) {
-			r.hub.Note(obs.EventDrop, uint64(site))
-			r.saturate(ob)
-			if ob != nil && ob.OnDrop != nil {
-				ob.OnDrop(DropEvent{Kind: site.String(), Bytes: n})
-			}
-		})
-	}
-	return r, nil
-}
-
-// saturate latches replay saturation on the first drop of any kind and
-// fires the observer's OnSaturation exactly once, mirroring
-// Session.saturate.
-func (r *Replayer) saturate(ob *Observer) {
-	if r.hub.LatchSaturation(0) && ob != nil && ob.OnSaturation != nil {
-		ob.OnSaturation()
-	}
+	return &Replayer{engine: newEngine(opts)}, nil
 }
 
 // Replay feeds tr through the analysis and returns its Report. It may
@@ -677,93 +497,13 @@ func (r *Replayer) Replay(ctx context.Context, tr *Trace) (Report, error) {
 	} else {
 		err = trace.ReplayContext(ctx, tr, r.tree, r.chk, nil)
 	}
-	rep := r.report()
-	return rep, err
-}
-
-// report assembles the current Report of the analysis (final after
-// Replay returns, partial while it runs).
-func (r *Replayer) report() Report {
-	var rep Report
-	fillStats(&rep, r.chk, r.velo, r.tree, r.q)
-	if r.chk != nil {
-		rep.Violations = r.chk.Reporter().Violations()
-	}
-	fillGateReport(&rep, r.gate)
-	return rep
+	return r.report(), err
 }
 
 // Snapshot returns the live analysis view of the replay, with the same
 // concurrency guarantees as Session.Snapshot: safe from any goroutine
 // while Replay runs, counters monotone snapshot to snapshot.
-func (r *Replayer) Snapshot() Snapshot {
-	var rep Report
-	fillStats(&rep, r.chk, r.velo, r.tree, r.q)
-	fillGateReport(&rep, r.gate)
-	ev := r.hub.Snapshot()
-	if ev.Saturated {
-		rep.Saturated = true
-	}
-	return Snapshot{
-		Stats:          rep.Stats,
-		ViolationCount: rep.ViolationCount,
-		Cycles:         rep.Cycles,
-		Saturated:      rep.Saturated,
-		Drops:          rep.Drops,
-		MemoryUsed:     rep.MemoryUsed,
-		Chaos:          r.plane.Stats(),
-		Events:         ev,
-	}
-}
-
-// fillStats assembles the numeric analysis statistics shared by Report,
-// ReplayTrace, and Snapshot. It deliberately omits the retained
-// violation list (fetched separately by the end-of-run paths) so the
-// live snapshot path does not copy per-violation detail. Every source
-// it reads is safe for concurrent use with a running analysis.
-func fillStats(r *Report, chk checker.Checker, velo *velodrome.Checker, tree dpst.Tree, q *dpst.Query) {
-	if chk != nil {
-		rep := chk.Reporter()
-		r.ViolationCount = rep.Count()
-		r.Drops.Violations = rep.Dropped()
-		if rep.Saturated() {
-			r.Saturated = true
-		}
-		cs := chk.Stats()
-		r.Stats.Locations = cs.Locations
-		r.Stats.FilterHits = cs.FilterHits
-		r.Stats.FilterMisses = cs.FilterMisses
-		r.Stats.BatchFlushes = cs.BatchFlushes
-		r.Stats.BatchedAccesses = cs.BatchedAccesses
-		r.Stats.WindowElisions = cs.WindowElisions
-	}
-	if velo != nil {
-		r.Cycles = velo.Count()
-		r.ViolationCount = velo.Count()
-	}
-	if tree != nil {
-		r.Stats.DPSTNodes = tree.Len()
-	}
-	if q != nil {
-		qs := q.Stats()
-		r.Stats.LCAQueries = qs.LCAQueries
-		r.Stats.UniqueLCAs = qs.UniqueLCAs
-	}
-}
-
-// fillGateReport folds the gate's saturation state into a report.
-func fillGateReport(r *Report, g *chaos.Gate) {
-	if g == nil {
-		return
-	}
-	r.Drops.Locations = g.Drops(chaos.SiteShadowLeaf) + g.Drops(chaos.SiteShadowChunk) + g.Drops(chaos.SiteShadowFar)
-	r.Drops.Labels = g.Drops(chaos.SiteLabelArena)
-	r.Drops.LCAEntries = g.Drops(chaos.SiteLCACache)
-	r.MemoryUsed = g.Budget.Used()
-	if g.Saturated() {
-		r.Saturated = true
-	}
-}
+func (r *Replayer) Snapshot() Snapshot { return r.snapshot() }
 
 // Run executes body as the root task and waits for the whole computation.
 func (s *Session) Run(body func(*Task)) { s.sch.Run(body) }
@@ -860,12 +600,7 @@ type Report struct {
 
 // Report returns the analysis results accumulated so far.
 func (s *Session) Report() Report {
-	var r Report
-	fillStats(&r, s.chk, s.velo, s.tree, s.q)
-	if s.chk != nil {
-		r.Violations = s.chk.Reporter().Violations()
-	}
-	fillGateReport(&r, s.gate)
+	r := s.report()
 	r.TaskPanics, r.PanicCount = s.sch.TaskPanics()
 	return r
 }
@@ -898,23 +633,4 @@ type Snapshot struct {
 // instrumented hot path contends on, so polling it (even at high
 // frequency, from several goroutines) does not perturb the measured
 // program.
-func (s *Session) Snapshot() Snapshot {
-	var r Report
-	fillStats(&r, s.chk, s.velo, s.tree, s.q)
-	fillGateReport(&r, s.gate)
-	ev := s.hub.Snapshot()
-	if ev.Saturated {
-		r.Saturated = true
-	}
-	return Snapshot{
-		Stats:          r.Stats,
-		ViolationCount: r.ViolationCount,
-		Cycles:         r.Cycles,
-		Saturated:      r.Saturated,
-		Drops:          r.Drops,
-		MemoryUsed:     r.MemoryUsed,
-		PanicCount:     ev.TaskPanics,
-		Chaos:          s.plane.Stats(),
-		Events:         ev,
-	}
-}
+func (s *Session) Snapshot() Snapshot { return s.snapshot() }

@@ -1,13 +1,13 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"time"
 
-	"github.com/taskpar/avd/internal/checker"
-	"github.com/taskpar/avd/internal/dpst"
+	avd "github.com/taskpar/avd"
 	"github.com/taskpar/avd/internal/sptest"
 	"github.com/taskpar/avd/internal/trace"
 )
@@ -34,12 +34,16 @@ func ablationProgram(tasks, accessesPerTask, locations int) *sptest.Program {
 	return &sptest.Program{Body: []sptest.Item{&sptest.FinishItem{Body: spawns}}}
 }
 
-func replayTimed(tr *trace.Trace, alg checker.Algorithm) (time.Duration, int64, error) {
-	tree := dpst.NewArrayTree()
-	c := checker.New(checker.Options{Algorithm: alg, Query: dpst.NewQuery(tree, true)})
+// replayTimed replays tr under the given checker and times the replay
+// alone, not the construction of the analysis.
+func replayTimed(tr *trace.Trace, kind avd.CheckerKind) (time.Duration, int64, error) {
+	r, err := avd.NewReplayer(avd.Options{Checker: kind})
+	if err != nil {
+		return 0, 0, err
+	}
 	start := time.Now()
-	err := trace.Replay(tr, tree, c, nil)
-	return time.Since(start), c.Reporter().Count(), err
+	rep, err := r.Replay(context.Background(), tr)
+	return time.Since(start), rep.ViolationCount, err
 }
 
 // MetadataAblation contrasts the paper's fixed 12-entry metadata
@@ -66,11 +70,11 @@ func MetadataAblation(w io.Writer, seed int64) error {
 			return err
 		}
 		total := tasks * per
-		dOpt, vOpt, err := replayTimed(tr, checker.AlgOptimized)
+		dOpt, vOpt, err := replayTimed(tr, avd.CheckerOptimized)
 		if err != nil {
 			return err
 		}
-		dBas, vBas, err := replayTimed(tr, checker.AlgBasic)
+		dBas, vBas, err := replayTimed(tr, avd.CheckerBasic)
 		if err != nil {
 			return err
 		}
