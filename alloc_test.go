@@ -2,10 +2,14 @@ package avd_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	avd "github.com/taskpar/avd"
+	"github.com/taskpar/avd/internal/dpst"
+	"github.com/taskpar/avd/internal/sptest"
+	"github.com/taskpar/avd/internal/trace"
 )
 
 // TestSteadyStateZeroAllocs pins the hot-path allocation behaviour the
@@ -237,5 +241,59 @@ func TestTaskSpawnAllocBudget(t *testing.T) {
 				t.Errorf("%d B allocated per task, budget %d", perTask, budget)
 			}
 		})
+	}
+}
+
+// seed4Trace is the trace of `avd-trace -gen -seed 4` (default
+// generation flags): 43 events with violations at two locations.
+func seed4Trace(t *testing.T) *avd.Trace {
+	t.Helper()
+	r := rand.New(rand.NewSource(4))
+	p := sptest.Random(r, sptest.GenConfig{
+		MaxItems: 4, MaxDepth: 3, MaxSteps: 12,
+		Locations: 3, MaxAccess: 4, Locks: 1, LockProb: 0.3,
+	})
+	tr, err := trace.FromProgram(p, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events) != 43 {
+		t.Fatalf("seed-4 trace has %d events, want 43", len(tr.Events))
+	}
+	return tr
+}
+
+// TestFixedCostAllocBudgets pins the allocation count of building an
+// analysis, which dominates a small replay. Only the cached walk
+// allocates the LCA cache's 256 shard maps; the default label-mode
+// query allocates its counter stripes and nothing else. Most of the
+// replay's remaining objects are the provenance and report merging of
+// its 14 violations.
+func TestFixedCostAllocBudgets(t *testing.T) {
+	tr := seed4Trace(t)
+	replay := testing.AllocsPerRun(20, func() {
+		if _, err := avd.ReplayTrace(tr, avd.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	session := testing.AllocsPerRun(20, func() {
+		avd.NewSession(avd.Options{Workers: 1}).Close()
+	})
+	tree := dpst.NewArrayTree()
+	query := testing.AllocsPerRun(20, func() {
+		_ = dpst.NewQueryMode(tree, dpst.ModeLabels)
+	})
+	t.Logf("allocs: replay %.0f, session %.0f, label query %.0f", replay, session, query)
+	for _, c := range []struct {
+		name        string
+		got, budget float64
+	}{
+		{"default ReplayTrace of the seed-4 trace", replay, 250},
+		{"NewSession(Workers: 1) plus Close", session, 32},
+		{"NewQueryMode(ModeLabels)", query, 2},
+	} {
+		if c.got > c.budget {
+			t.Errorf("%s allocates %.0f objects, budget %.0f", c.name, c.got, c.budget)
+		}
 	}
 }

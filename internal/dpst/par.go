@@ -92,7 +92,7 @@ type Query struct {
 	stripeMask uint64
 	queries    []counterStripe
 	unique     atomic.Int64
-	shards     [lcaShards]lcaShard
+	shards     *[lcaShards]lcaShard // ModeCachedWalk only
 }
 
 // lcaEntryBytes estimates the tracked cost of one memoized LCA result
@@ -127,8 +127,11 @@ func NewQueryMode(tree Tree, mode QueryMode) *Query {
 	}
 	q.queries = make([]counterStripe, n)
 	q.stripeMask = uint64(n - 1)
-	for i := range q.shards {
-		q.shards[i].m = make(map[uint64]bool)
+	if mode == ModeCachedWalk {
+		q.shards = new([lcaShards]lcaShard)
+		for i := range q.shards {
+			q.shards[i].m = make(map[uint64]bool)
+		}
 	}
 	return q
 }
