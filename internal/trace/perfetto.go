@@ -80,7 +80,7 @@ func violationOverlay(tr *Trace, strict bool) (map[int][]checker.Violation, []dp
 	}
 	rep.SetObserver(sink.observe)
 	sink.chk = checker.New(checker.Options{
-		Query:            dpst.NewQuery(tree, false),
+		Query:            dpst.NewQueryMode(tree, dpst.ModeLabels),
 		Reporter:         rep,
 		StrictLockChecks: strict,
 	})
